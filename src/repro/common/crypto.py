@@ -16,11 +16,12 @@ all endorsements of a block are checked in a single randomized linear
 combination, ``g**sum(c_i*s_i) == prod(r_i**c_i) * prod(y**sum(c_i*e_i))``,
 with the 128-bit coefficients ``c_i`` drawn from a deterministic stream
 bound to the batch content (so runs stay reproducible while a forger
-cannot predict its coefficient).  Commitments are required to lie in the
-order-q subgroup (a Jacobi-symbol pre-check, no modexp needed), so the
-linear combination ranges over a prime-order group and the standard
-small-exponent soundness bound applies.  A failing batch falls back to
-bisection so an individual forgery is still pinpointed and rejected.
+cannot predict its coefficient).  Commitments, and the public keys a
+batch admits, are required to lie in the order-q subgroup (a
+Jacobi-symbol pre-check, no modexp needed), so the linear combination
+ranges over a prime-order group and the standard small-exponent
+soundness bound applies.  A failing batch falls back to bisection so an
+individual forgery is still pinpointed and rejected.
 
 The substitution is documented in DESIGN.md: the attacks and defenses in
 the paper do not depend on the curve, only on unforgeability and public
@@ -61,6 +62,25 @@ G = 4
 #: individual verification anyway.
 BATCH_COEFF_BITS = 128
 
+#: Bit width of every hash-derived exponent: keys ``x``, nonces ``k`` and
+#: challenges ``e`` are SHA-256 outputs reduced mod q (which is wider),
+#: so each is < 2**256 and an honest ``s = k + x*e`` is < 2**513.
+HASH_BITS = 256
+
+#: Extra bits that let a batch sum up to 2**64 terms.
+_SUM_HEADROOM_BITS = 64
+
+#: Fixed-base tables cover the exponents the scheme actually produces,
+#: not all of q's 1535 bits.  The generator sees ``s`` (513 bits) and
+#: the batch sum ``sum(c*s)``; a public key sees ``e`` (256 bits) and
+#: ``sum(c*e)``.  Anything wider — a forged ``s`` near q, say — is still
+#: exact through the tables' plain-``pow()`` fallback.
+G_TABLE_BITS = 2 * HASH_BITS + BATCH_COEFF_BITS + _SUM_HEADROOM_BITS  # 704
+KEY_TABLE_BITS = HASH_BITS + BATCH_COEFF_BITS + _SUM_HEADROOM_BITS    # 448
+#: The generator's table is built once per process and used by every
+#: signature, so it takes the wider window: fewer digits per exponent.
+G_TABLE_WINDOW = 5
+
 
 class SignatureError(Exception):
     """A signature failed to verify or could not be decoded."""
@@ -76,14 +96,16 @@ def _jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        # Strip every trailing zero at once: (2/n) is -1 for n = 3, 5 mod
+        # 8, so only an odd count of twos can flip the sign.
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and (n & 7) in (3, 5):
             result = -result
-        a %= n
+        # Reciprocity for odd a, n: flip when both are 3 mod 4.
+        if a & n & 2:
+            result = -result
+        a, n = n % a, a
     return result if n == 1 else 0
 
 
@@ -101,6 +123,19 @@ def _in_subgroup(r: int) -> bool:
     coefficients.
     """
     return _jacobi(r, P) == 1
+
+
+@functools.lru_cache(maxsize=4096)
+def _key_in_subgroup(y: int) -> bool:
+    """:func:`_in_subgroup` for public keys, memoised per key.
+
+    The batch equation raises each key to an *unreduced* challenge sum,
+    which is exact only for keys of order q.  A key with an order-2 part
+    (say ``p - g**x``) signs messages whose odd challenges fail
+    :meth:`PublicKey.verify`, yet that part cancels in a combination
+    whenever the coefficient is even — so such keys never join a batch.
+    """
+    return _in_subgroup(y)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +182,7 @@ def _g_table() -> FixedBaseTable:
     """The generator's fixed-base table, built lazily once per process."""
     global _G_TABLE
     if _G_TABLE is None:
-        _G_TABLE = FixedBaseTable(G, P, Q.bit_length())
+        _G_TABLE = FixedBaseTable(G, P, G_TABLE_BITS, G_TABLE_WINDOW)
     return _G_TABLE
 
 
@@ -160,7 +195,7 @@ def _g_pow(exponent: int) -> int:
 
 def _y_pow(y: int, exponent: int) -> int:
     if _FAST_PATH:
-        return _KEY_TABLES.powmod(y, exponent, P, Q.bit_length())
+        return _KEY_TABLES.powmod(y, exponent, P, KEY_TABLE_BITS)
     PERF.modexp_full += 1
     return pow(y, exponent, P)
 
@@ -187,8 +222,18 @@ def clear_caches() -> None:
     clearer, so the proposal-serialization memos and the endorsers'
     simulation caches reset with the same call.
     """
-    _VERIFY_CACHE.clear()
+    clear_memos()
     _KEY_TABLES.clear()
+
+
+def clear_memos() -> None:
+    """Drop every memoised result, keeping the window tables.
+
+    The verification memo and every registered clearer reset, so no
+    later check is answered from an earlier one; the per-key tables are
+    precomputation that changes no verdict and stay warm.
+    """
+    clear_verify_cache()
     for clearer in _CACHE_CLEARERS:
         clearer()
 
@@ -285,7 +330,12 @@ class PublicKey:
         if not (0 <= s < Q and 0 < r < P and _in_subgroup(r)):
             return False
         e = _hash_to_int(_int_bytes(r), self.to_bytes(), message) % Q
-        return _g_pow(s) == r * _y_pow(self.y, e) % P
+        return _equation_holds(self.y, s, r, e)
+
+
+def _equation_holds(y: int, s: int, r: int, e: int) -> bool:
+    """The exact individual Schnorr equation ``g**s == r * y**e``."""
+    return _g_pow(s) == r * _y_pow(y, e) % P
 
 
 def _int_bytes(value: int) -> bytes:
@@ -378,7 +428,13 @@ def _batch_coefficients(decoded: dict, indices: Sequence[int], seed: bytes) -> d
 
 
 def _batch_holds(decoded: dict, challenges: dict, indices: Sequence[int], seed: bytes) -> bool:
-    """Evaluate one randomized-linear-combination batch equation."""
+    """Evaluate one randomized-linear-combination batch equation.
+
+    The exponent sums are not reduced mod q: ``g`` and every admitted
+    ``r`` and ``y`` have order q, so reducing changes no power, and the
+    unreduced sums (~650 bits for ``g``, ~390 per key) stay inside the
+    fixed-base tables instead of spanning all 1535 bits of q.
+    """
     PERF.batch_calls += 1
     coefficients = _batch_coefficients(decoded, indices, seed)
     s_combined = 0
@@ -387,10 +443,10 @@ def _batch_holds(decoded: dict, challenges: dict, indices: Sequence[int], seed: 
     for i in indices:
         _y_bytes, _digest, _sig, s, r = decoded[i]
         c = coefficients[i]
-        s_combined = (s_combined + c * s) % Q
+        s_combined += c * s
         r_pairs.append((r, c))
         y = challenges[i][0]
-        e_by_key[y] = (e_by_key.get(y, 0) + c * challenges[i][1]) % Q
+        e_by_key[y] = e_by_key.get(y, 0) + c * challenges[i][1]
     lhs = _g_pow(s_combined)
     if _FAST_PATH:
         rhs = multiexp(r_pairs, P)
@@ -425,6 +481,13 @@ def _screen(
         cached = _cache_get(key)
         if cached is not None:
             results[i] = cached
+            continue
+        if not _key_in_subgroup(public_key.y):
+            # Settled by the exact individual equation: see
+            # _key_in_subgroup for why such a key never joins a batch.
+            result = public_key._verify_uncached(message, signature)
+            results[i] = result
+            _cache_put(key, result)
             continue
         try:
             s, r = _decode_signature(signature)
@@ -462,7 +525,7 @@ def _settle_serial(
             _y_bytes, _digest, _sig, s, r = decoded[i]
             y, e = challenges[i]
             PERF.verify_individual += 1
-            result = _g_pow(s) == r * _y_pow(y, e) % P
+            result = _equation_holds(y, s, r, e)
             results[i] = result
             _cache_put(cache_keys[i], result)
             return

@@ -7,7 +7,9 @@ Three techniques, all stdlib-only, all deterministic:
   2**(w*i))`` is precomputed, so one exponentiation costs one modular
   multiplication per digit and **zero squarings**.  Worth it for bases
   that recur: the group generator (every signature) and hot public keys
-  (every endorsement by the same identity).
+  (every endorsement by the same identity).  A table covers only the
+  exponent width its caller asks for; wider exponents fall back to plain
+  ``pow()``, so the result is exact either way.
 * :class:`WindowTableLRU` — per-base tables behind a real LRU.  Building
   a table costs the equivalent of a few plain ``pow()`` calls, so a base
   only earns its table after ``build_after`` uses; until then the cache
@@ -31,8 +33,8 @@ from repro.common.tracing import PERF
 
 #: Window width (bits per digit) for the fixed-base tables.  Width 4
 #: keeps the build cost low (15 multiplications per digit row) while
-#: already replacing ~1536 squarings + ~300 multiplications of a plain
-#: ``pow()`` with ~384 table multiplications.
+#: replacing the ``b`` squarings + ~``b/5`` multiplications of a plain
+#: ``pow()`` on a ``b``-bit exponent with ~``b/4`` table multiplications.
 DEFAULT_WINDOW = 4
 
 #: Window width for Straus interleaving (small exponents, small tables).
@@ -79,12 +81,13 @@ class FixedBaseTable:
         modulus = self.modulus
         mask = self._mask
         window = self.window
+        rows = self._rows
         acc = 1
         i = 0
         while exponent:
             digit = exponent & mask
             if digit:
-                acc = acc * self._rows[i][digit] % modulus
+                acc = acc * rows[i][digit] % modulus
             exponent >>= window
             i += 1
         return acc

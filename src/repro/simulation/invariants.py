@@ -748,7 +748,8 @@ def check_vscc_memo_agreement(sim: "SimNetwork") -> list:
     memo).  This check replays the committed chain through a *fresh*
     validator with the memo disabled, the batched signature pre-pass
     pinned off, and the process-wide verification cache cleared and
-    suspended for the replay's duration — so every signature check and
+    suspended for the replay's duration (the window tables, which decide
+    no verdict, stay warm) — so every signature check and
     policy evaluation actually runs individually, rather than being
     answered by the very batch/cache entries the check is meant to
     independently confirm — and demands the flags match what the peers
@@ -775,7 +776,7 @@ def check_vscc_memo_agreement(sim: "SimNetwork") -> list:
     )
     committer = Committer(channel=channel, local_msp_id=source.msp_id)
     cache_was_enabled = crypto.verify_cache_enabled()
-    crypto.clear_caches()
+    crypto.clear_memos()
     crypto.set_verify_cache(False)
     try:
         for validated in source.ledger.blockchain.all_blocks():

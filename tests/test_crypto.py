@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,9 +140,44 @@ def _negated_commitment_signature(private: PrivateKey, message: bytes, k: int) -
     public = private.public_key()
     r = P - pow(G, k, P)
     e = crypto._hash_to_int(crypto._int_bytes(r), public.to_bytes(), message) % Q
-    s = (k + private.x * e) % Q
+    return _signature_bytes((k + private.x * e) % Q, r)
+
+
+def _signature_bytes(s: int, r: int) -> bytes:
     width = (P.bit_length() + 7) // 8
     return s.to_bytes(width, "big") + r.to_bytes(width, "big")
+
+
+def _schnorr_sign(x: int, y: int, message: bytes, k: int) -> tuple[bytes, int]:
+    """Schnorr over ``(x, y)`` with an explicit nonce; returns (signature, e).
+
+    With ``y = g**x`` and any nonce ``k`` the signature is valid; with a
+    ``y`` outside the order-q subgroup it verifies only when the
+    challenge ``e`` makes the order-2 part vanish.
+    """
+    r = pow(G, k, P)
+    y_bytes = y.to_bytes((P.bit_length() + 7) // 8, "big")
+    e = crypto._hash_to_int(crypto._int_bytes(r), y_bytes, message) % Q
+    return _signature_bytes((k + x * e) % Q, r), e
+
+
+def _non_subgroup_key_corpus(count: int, tag: bytes):
+    """``count`` signatures under the key ``y' = p - g**x``, odd ``e`` only.
+
+    Each one is an honest Schnorr signature for ``x`` but names ``y'``,
+    so ``y'**e = -g**(x*e)`` and every one fails :meth:`PublicKey.verify`.
+    """
+    private, _ = generate_keypair(tag + b"non-subgroup-key")
+    bad_key = PublicKey(P - pow(G, private.x, P))
+    items = []
+    n = 0
+    while len(items) < count:
+        message = tag + f"odd-{n}".encode()
+        signature, e = _schnorr_sign(private.x, bad_key.y, message, k=1000 + n)
+        n += 1
+        if e % 2:
+            items.append((bad_key, message, signature))
+    return items
 
 
 class TestBatchVerification:
@@ -262,12 +299,156 @@ class TestBatchVerification:
         assert PERF.batch_calls == 0
         assert PERF.verify_individual == 0
 
+    def test_non_subgroup_key_never_settled_by_batch(self):
+        # A key with an order-2 part can sign messages with odd challenges
+        # that fail individual verification, yet cancel in a combined
+        # equation whenever their coefficient is even.  Each such
+        # signature rides in a batch with two honest ones; the batch
+        # must reject every one, and must not cache a wrong verdict.
+        honest = _batch_items(2, tag=b"nsk-honest-")
+        corpus = _non_subgroup_key_corpus(19, tag=b"nsk-")
+        assert not any(pk.verify(msg, sig) for pk, msg, sig in corpus)
+        for n, item in enumerate(corpus):
+            crypto.clear_caches()
+            batch = [honest[0], item, honest[1]]
+            assert verify_batch(batch, seed=f"nsk-{n}".encode()) == [True, False, True]
+            public, message, signature = item
+            assert not public.verify(message, signature)
+
+    def test_non_subgroup_key_with_even_challenge_matches_verify(self):
+        # An even challenge makes the order-2 part vanish, so the exact
+        # equation accepts; the batch must agree (via the individual path).
+        private, _ = generate_keypair(b"nsk-even")
+        bad_key = PublicKey(P - pow(G, private.x, P))
+        n = 0
+        while True:
+            message = f"even-{n}".encode()
+            signature, e = _schnorr_sign(private.x, bad_key.y, message, k=5000 + n)
+            n += 1
+            if e % 2 == 0:
+                break
+        assert bad_key.verify(message, signature)
+        crypto.clear_caches()
+        PERF.reset()
+        items = _batch_items(2, tag=b"nsk-e-") + [(bad_key, message, signature)]
+        assert verify_batch(items) == [True, True, True]
+        assert PERF.verify_individual == 1
+
+    def test_batch_agrees_with_verify_on_edge_corpus(self):
+        # Seed-swept corpora mixing repeated keys, valid and forged
+        # signatures with s >= 2**704 (past the generator table), commitments
+        # outside the subgroup and keys outside it.
+        for sweep in range(4):
+            tag = f"edge-{sweep}-".encode()
+            rng = random.Random(sweep)
+            keys = [generate_keypair(tag + f"k{j}".encode()) for j in range(3)]
+            items = []
+            for n in range(9):
+                private, public = keys[n % 3]
+                message = tag + f"m{n}".encode()
+                items.append((public, message, private.sign(message)))
+            private, public = keys[0]
+            big_k = (1 << 1400) + rng.randrange(1 << 1300)
+            big_s, _ = _schnorr_sign(private.x, public.y, tag + b"big-s", k=big_k)
+            assert int.from_bytes(big_s[: len(big_s) // 2], "big") >= 1 << 704
+            items.append((public, tag + b"big-s", big_s))
+            forged_s = _signature_bytes(Q - 1 - rng.randrange(1 << 64), pow(G, 77, P))
+            items.append((keys[1][1], tag + b"forged-big-s", forged_s))
+            items.append((keys[2][1], tag + b"neg-r", _negated_commitment_signature(
+                keys[2][0], tag + b"neg-r", k=31 + sweep)))
+            items.extend(_non_subgroup_key_corpus(2, tag=tag))
+            rng.shuffle(items)
+            crypto.clear_caches()
+            batched = verify_batch(items, seed=tag)
+            crypto.clear_caches()
+            individual = [pk.verify(msg, sig) for pk, msg, sig in items]
+            assert batched == individual
+            assert individual.count(False) == 4
+
     def test_batch_results_independent_of_seed(self):
         items = _batch_items(6, tag=b"seed-")
         items[2] = (items[2][0], b"not the message", items[2][2])
         for seed in (b"", b"a", b"block-7"):
             crypto.clear_caches()
             assert verify_batch(items, seed=seed) == [True, True, False, True, True, True]
+
+
+class TestJacobi:
+    @staticmethod
+    def _euler(a: int) -> int:
+        """Legendre symbol (a/p) by Euler's criterion: a**q mod p."""
+        value = pow(a, Q, P)
+        return -1 if value == P - 1 else value
+
+    def test_matches_euler_on_random_values(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            a = rng.randrange(P)
+            assert crypto._jacobi(a, P) == self._euler(a)
+
+    def test_matches_euler_on_edge_values(self):
+        rng = random.Random(13)
+        values = [0, 1, 2, P - 1, P - 2, P, P + 1, 2 * P]
+        values += [1 << n for n in (1, 2, 3, 5, 64, 1000, 1535, 1536, 1600)]
+        values += [rng.randrange(P) << rng.randrange(1, 40) for _ in range(20)]
+        for a in values:
+            assert crypto._jacobi(a, P) == self._euler(a % P), a
+
+    def test_small_odd_moduli(self):
+        # Exhaustive check against Euler's criterion on small primes.
+        for prime in (3, 5, 7, 11, 13, 1009):
+            for a in range(3 * prime):
+                value = pow(a, (prime - 1) // 2, prime)
+                assert crypto._jacobi(a, prime) == (-1 if value == prime - 1 else value)
+
+    def test_key_gate_accepts_honest_keys_only(self):
+        private, public = generate_keypair(b"gate")
+        assert crypto._key_in_subgroup(public.y)
+        assert not crypto._key_in_subgroup(P - public.y)
+        assert not crypto._key_in_subgroup(0)
+
+
+class TestExponentWidths:
+    """Honest exponents stay inside the fixed-base tables.
+
+    The tables cover only the widths the scheme produces; a change to key
+    or nonce derivation that widened them would silently move every
+    exponentiation onto the plain-``pow()`` fallback.
+    """
+
+    def test_honest_exponents_fit_the_tables(self):
+        g_table = crypto._g_table()
+        for n in range(12):
+            private, public = generate_keypair(f"width-{n}".encode())
+            message = f"message-{n}".encode()
+            s, r = crypto._decode_signature(private.sign(message))
+            e = crypto._hash_to_int(crypto._int_bytes(r), public.to_bytes(), message) % Q
+            k = (s - private.x * e) % Q
+            assert pow(G, k, P) == r
+            assert private.x < 1 << crypto.HASH_BITS
+            assert k < 1 << crypto.HASH_BITS
+            assert e < 1 << crypto.HASH_BITS
+            assert s < 1 << (2 * crypto.HASH_BITS + 1)
+            assert g_table.covers(s)
+
+    def test_table_widths_cover_batch_sums(self):
+        coeff = 1 << crypto.BATCH_COEFF_BITS
+        batch = 1 << 16
+        assert (coeff * batch) << (2 * crypto.HASH_BITS + 1) <= 1 << crypto.G_TABLE_BITS
+        assert (coeff * batch) << crypto.HASH_BITS <= 1 << crypto.KEY_TABLE_BITS
+
+    def test_warm_honest_batch_needs_no_plain_pow(self):
+        # Once the key's table is warm, an honest batch's g**sum(c*s) and
+        # y**sum(c*e) are both answered by the tables.
+        private, public = generate_keypair(b"warm-signer")
+        uses = crypto._KEY_TABLES.build_after
+        items = [(public, b"m%d" % n, private.sign(b"m%d" % n)) for n in range(2 * uses)]
+        crypto.clear_caches()
+        assert all(pk.verify(msg, sig) for pk, msg, sig in items[:uses])
+        assert crypto._KEY_TABLES.has_table(public.y)
+        PERF.reset()
+        assert verify_batch(items[uses:]) == [True] * uses
+        assert (PERF.modexp_windowed, PERF.modexp_full) == (2, 0)
 
 
 class TestFastPathToggles:

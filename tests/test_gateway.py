@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaincode.contracts import ForgedReadContract, PrivateAssetContract
@@ -122,6 +124,27 @@ class TestSubmit:
             client.submit_transaction(
                 "pdccc", "get_private", ["PDC1", "k"], endorsing_peers=[honest, rogue]
             )
+
+    def test_first_forged_endorsement_named_in_response_order(self, network):
+        """The client verifies every endorsement and names the first bad one."""
+        client = network.client("Org1MSP")
+        peers = [network.peers_of(f"Org{i}MSP")[0] for i in (1, 2, 3)]
+        proposal = client._proposal(
+            "pdccc", "set_private", ["PDC1", "k"], {"value": b"1"}
+        )
+        responses = [
+            network.request_endorsement(peer, proposal).response for peer in peers
+        ]
+        client._check_consistency(proposal, responses)
+        forged = responses[0].endorsement.signature  # valid, but not theirs
+        for index in (2, 1):
+            responses[index] = replace(
+                responses[index],
+                endorsement=replace(responses[index].endorsement, signature=forged),
+            )
+        second = responses[1].endorsement.endorser.enrollment_id
+        with pytest.raises(EndorsementError, match=f"from {second}$"):
+            client._check_consistency(proposal, responses)
 
     def test_chaincode_error_surfaces(self, network):
         client = network.client("Org1MSP")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.crypto import G, P, Q
+from repro.common.crypto import G, G_TABLE_BITS, G_TABLE_WINDOW, KEY_TABLE_BITS, P, Q
 from repro.common.multiexp import FixedBaseTable, WindowTableLRU, multiexp
+from repro.common.tracing import PERF
 
 SMALL_PRIME = 1009
 
@@ -39,6 +40,31 @@ class TestFixedBaseTable:
         table = FixedBaseTable(3, SMALL_PRIME, 8)
         exponent = 1 << 40
         assert table.pow(exponent) == pow(3, exponent, SMALL_PRIME)
+
+    @pytest.mark.parametrize(
+        "bits, window", [(G_TABLE_BITS, G_TABLE_WINDOW), (KEY_TABLE_BITS, 4)]
+    )
+    def test_coverage_boundary(self, bits, window):
+        # The scheme's own table shapes: exact on both sides of the
+        # covered width, the far side (and q-1) through plain pow().
+        base = pow(G, 12345, P)
+        table = FixedBaseTable(base, P, bits, window)
+        edge = window * -(-bits // window)  # whole digits: >= bits
+        assert table.covers((1 << bits) - 1)
+        assert table.covers((1 << edge) - 1)
+        assert not table.covers(1 << edge)
+        for exponent, windowed in (
+            ((1 << bits) - 1, True),
+            ((1 << edge) - 1, True),
+            (1 << bits, edge > bits),
+            (1 << edge, False),
+            (Q - 1, False),
+        ):
+            PERF.reset()
+            assert table.pow(exponent) == pow(base, exponent, P)
+            assert (PERF.modexp_windowed, PERF.modexp_full) == (
+                (1, 0) if windowed else (0, 1)
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -145,12 +145,19 @@ class TestSharedVsccMemo:
 
         net = _network()
         _submit(net, "real-verify-key")
+        # Warm one endorser's window table: the replay clears verdicts,
+        # not precomputation, so the table must survive it.
+        endorser_y = net.peer_of(1).identity.certificate.public_key.y
+        for exponent in range(crypto._KEY_TABLES.build_after):
+            crypto._y_pow(endorser_y, exponent)
+        assert crypto._KEY_TABLES.has_table(endorser_y)
         PERF.reset()
         assert check_vscc_memo_agreement(_Sim(net)) == []
         assert PERF.verify_individual > 0
         assert PERF.verify_cache_hits == 0
         assert PERF.batch_calls == 0
         assert crypto.verify_cache_enabled()
+        assert crypto._KEY_TABLES.has_table(endorser_y)
 
 
 class TestCertificateMemo:
