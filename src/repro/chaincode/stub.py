@@ -155,9 +155,9 @@ class ChaincodeStub:
 
         committed: list[tuple[str, bytes]] = []
         recorded: list[KVRead] = []
-        for key, entry in self._ledger.world_state.items(self._namespace):
-            if key < start_key or (end_key and key >= end_key):
-                continue
+        for key, entry in self._ledger.world_state.items(
+            self._namespace, start_key, end_key
+        ):
             committed.append((key, entry.value))
             recorded.append(KVRead(key=key, version=entry.version))
         self._builder.add_range_query(

@@ -39,6 +39,7 @@ from repro.common.errors import (
     ProposalResponseMismatchError,
     TransactionInvalidError,
 )
+from repro.common.env import env_flag
 from repro.common.hashing import sha256
 from repro.common.tracing import PERF
 from repro.identity.identity import SigningIdentity
@@ -59,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def endorse_plan_enabled() -> bool:
     """``REPRO_ENDORSE_PLAN=0`` disables policy-aware endorsement plans."""
-    return os.environ.get("REPRO_ENDORSE_PLAN", "1") != "0"
+    return env_flag("REPRO_ENDORSE_PLAN", True)
 
 
 def endorsement_timeout() -> float:

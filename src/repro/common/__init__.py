@@ -1,6 +1,7 @@
 """Shared substrate: errors, hashing, canonical serialization, signatures."""
 
 from repro.common.crypto import PrivateKey, PublicKey, generate_keypair
+from repro.common.env import env_flag
 from repro.common.errors import (
     AnalyzerError,
     ChaincodeError,
@@ -47,6 +48,7 @@ __all__ = [
     "sha256",
     "sha256_hex",
     "canonical_bytes",
+    "env_flag",
     "from_canonical_bytes",
     "PrivateKey",
     "PublicKey",

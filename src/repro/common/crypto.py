@@ -34,11 +34,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.common.env import env_flag
 from repro.common.multiexp import FixedBaseTable, WindowTableLRU, multiexp
 from repro.common.tracing import PERF
 
@@ -144,9 +144,9 @@ def _key_in_subgroup(y: int) -> bool:
 
 # REPRO_CRYPTO_FAST=0 routes every exponentiation through plain pow()
 # (the naive baseline the ablation bench measures against).
-_FAST_PATH = os.environ.get("REPRO_CRYPTO_FAST", "1") != "0"
+_FAST_PATH = env_flag("REPRO_CRYPTO_FAST", True)
 # REPRO_VERIFY_CACHE=0 disables (verification-result) memoization.
-_CACHE_ENABLED = os.environ.get("REPRO_VERIFY_CACHE", "1") != "0"
+_CACHE_ENABLED = env_flag("REPRO_VERIFY_CACHE", True)
 
 
 def set_fast_path(enabled: bool) -> None:

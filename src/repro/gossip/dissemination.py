@@ -40,6 +40,7 @@ import zlib
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
+from repro.common.env import env_flag
 from repro.common.errors import ConfigError, GossipError
 from repro.common.tracing import PERF
 from repro.storage.codec import pack_private_writes
@@ -78,8 +79,7 @@ ENV_ANTI_ENTROPY_EVERY = "REPRO_ANTI_ENTROPY_EVERY"
 def resolve_gossip_batch(enabled: Optional[bool] = None) -> bool:
     """Batching toggle: explicit argument > ``REPRO_GOSSIP_BATCH`` > off."""
     if enabled is None:
-        raw = os.environ.get(ENV_GOSSIP_BATCH, "").strip()
-        enabled = raw not in ("", "0", "false", "no")
+        return env_flag(ENV_GOSSIP_BATCH, False)
     return bool(enabled)
 
 

@@ -27,6 +27,7 @@ from typing import Iterator, MutableMapping, Optional
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.private_state import PrivateDataStore, PrivateHashStore
 from repro.ledger.transient_store import TransientStore
+from repro.ledger.version import Version
 from repro.ledger.world_state import WorldState
 from repro.storage import KVBackend, WriteBatch, compose_key, open_backend, read_through, split_key, write_op
 from repro.storage.codec import (
@@ -271,6 +272,24 @@ class PeerLedger:
     @property
     def height(self) -> int:
         return self.blockchain.height
+
+    # -- the validation rules' StateView (repro.peer.rules) ------------------
+    def has_transaction(self, tx_id: str) -> bool:
+        return self.blockchain.has_transaction(tx_id)
+
+    def version(self, namespace: str, key: str) -> Optional[Version]:
+        return self.world_state.get_version(namespace, key)
+
+    def private_version(
+        self, namespace: str, collection: str, key_hash: bytes
+    ) -> Optional[Version]:
+        return self.private_hashes.get_version(namespace, collection, key_hash)
+
+    def validation_parameter(self, namespace: str, key: str) -> Optional[bytes]:
+        return self.world_state.get_validation_parameter(namespace, key)
+
+    def range_versions(self, namespace: str, start: str, end: str) -> list:
+        return [(k, e.version) for k, e in self.world_state.items(namespace, start, end)]
 
     # -- missing-private bookkeeping ----------------------------------------
     def _missing_add(self, missing: MissingPrivateData) -> None:

@@ -41,6 +41,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.common.env import env_flag
 from repro.common.errors import ConfigError, SnapshotError
 from repro.common.hashing import hash_key, hash_value
 from repro.common.serialization import canonical_bytes
@@ -110,8 +111,7 @@ def resolve_snapshot_every(every: Optional[int] = None) -> int:
 def resolve_prune(prune: Optional[bool] = None) -> bool:
     """Pruning toggle: explicit argument > env var > False."""
     if prune is None:
-        raw = os.environ.get(ENV_PRUNE, "").strip()
-        prune = raw not in ("", "0", "false", "no")
+        return env_flag(ENV_PRUNE, False)
     return bool(prune)
 
 

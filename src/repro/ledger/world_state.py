@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.ledger.version import Version
-from repro.storage import KVBackend, MemoryBackend, WriteBatch, compose_key, read_through, write_op
+from repro.storage import KVBackend, MemoryBackend, WriteBatch, compose_key, prefix_bounds, read_through, write_op
 from repro.storage.codec import (
     PICKLE_MARKER,
     pack_bytes_map,
@@ -140,8 +140,17 @@ class WorldState:
             for key, _ in self._backend.prefix(NS_PUBLIC, namespace)
         ]
 
-    def items(self, namespace: str) -> Iterator[tuple[str, StateEntry]]:
-        for key, raw in self._backend.prefix(NS_PUBLIC, namespace):
+    def items(
+        self, namespace: str, start: str = "", end: str = ""
+    ) -> Iterator[tuple[str, StateEntry]]:
+        """Key-sorted entries of ``namespace`` in ``[start, end)``; an empty
+        ``end`` leaves the range open."""
+        low, high = prefix_bounds(namespace)
+        if start:
+            low = compose_key(namespace, start)
+        if end:
+            high = compose_key(namespace, end)
+        for key, raw in self._backend.range(NS_PUBLIC, low, high):
             value, version = unpack_versioned(raw)
             yield key[len(namespace) + 1 :], StateEntry(value=value, version=version)
 

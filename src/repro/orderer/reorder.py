@@ -38,28 +38,31 @@ every aborted transaction with the independent ``ReferenceValidator``
 in arrival order and fails the run on any false abort, and checks every
 emitted block is a permutation of its non-aborted input.
 
-The shadow oracle mirrors the full validator pipeline — duplicate tx-id,
-channel/chaincode, creator certificate + signature, response status,
-endorsement-policy selection (including committed key-level
-``VALIDATION_PARAMETER`` policies, tracked from the shadow's own
-metadata view) and the MVCC/phantom version rules — because a
-structurally invalid transaction must never advance the shadow state.
-All predictions are pure functions of the envelope bytes and the shadow,
-so the pipeline is deterministic: the cycle-break tie uses a seeded
-hash of the tx id (never Python's randomized ``hash``), which keeps
-serial and process-pool executions byte-identical.
+The prediction is not a copy of the validator: the pipeline runs the
+peers' own rules (:mod:`repro.peer.rules`) with itself as the
+:class:`~repro.peer.rules.StateView`, answering from a shadow of
+committed versions, key-level ``VALIDATION_PARAMETER`` policies and tx
+ids that :meth:`ReorderPipeline._apply_sequence` advances exactly as the
+committers advance their ledgers.  Every rule runs — signatures and
+policies included — because a structurally invalid transaction must
+never advance the shadow state.  All predictions are pure functions of
+the envelope bytes and the shadow, so the pipeline is deterministic: the
+cycle-break tie uses a seeded hash of the tx id (never Python's
+randomized ``hash``), which keeps serial and process-pool executions
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.common.env import env_flag
 from repro.common.tracing import PERF
 from repro.ledger.version import Version
+from repro.peer.rules import BlockWrites, ValidationRules, in_range, range_fresh
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,8 +86,7 @@ SCOPE_CROSS_BLOCK = "cross-block"
 def resolve_reorder(enabled: Optional[bool] = None) -> bool:
     """Reorder toggle: explicit argument > ``REPRO_REORDER`` > off."""
     if enabled is None:
-        raw = os.environ.get(ENV_REORDER, "").strip()
-        enabled = raw not in ("", "0", "false", "no")
+        return env_flag(ENV_REORDER, False)
     return bool(enabled)
 
 
@@ -93,63 +95,15 @@ def resolve_reorder(enabled: Optional[bool] = None) -> bool:
 # ---------------------------------------------------------------------------
 
 class _TxProfile:
-    """One envelope's conflict surface, extracted once per batch."""
+    """One batch envelope: its arrival index and the keys it writes."""
 
-    __slots__ = (
-        "tx", "index", "reads", "writes", "hashed_reads", "hashed_writes",
-        "ranges",
-    )
+    __slots__ = ("tx", "index", "written")
 
     def __init__(self, tx: TransactionEnvelope, index: int) -> None:
         self.tx = tx
         self.index = index  # arrival position within the batch
-        self.reads: list = []          # ((ns, key), Version | None)
-        self.writes: set = set()       # (ns, key)
-        self.hashed_reads: list = []   # ((ns, col, key_hash), Version | None)
-        self.hashed_writes: set = set()  # (ns, col, key_hash)
-        self.ranges: list = []         # (ns, start, end, ((key, version), ...))
-        for ns in tx.payload.results.namespaces:
-            for read in ns.reads:
-                self.reads.append(((ns.namespace, read.key), read.version))
-            for write in ns.writes:
-                self.writes.add((ns.namespace, write.key))
-            for query in ns.range_queries:
-                self.ranges.append((
-                    ns.namespace, query.start_key, query.end_key,
-                    tuple((r.key, r.version) for r in query.reads),
-                ))
-            for col in ns.collections:
-                for hashed in col.hashed_reads:
-                    self.hashed_reads.append((
-                        (ns.namespace, col.collection, hashed.key_hash),
-                        hashed.version,
-                    ))
-                for hashed in col.hashed_writes:
-                    self.hashed_writes.add(
-                        (ns.namespace, col.collection, hashed.key_hash)
-                    )
-
-    def reads_key_of(self, other: "_TxProfile") -> bool:
-        """Does this transaction read (or range-cover) a key ``other`` writes?"""
-        for key, _version in self.reads:
-            if key in other.writes:
-                return True
-        for key, _version in self.hashed_reads:
-            if key in other.hashed_writes:
-                return True
-        for ns, start, end, _recorded in self.ranges:
-            for write_ns, key in other.writes:
-                if write_ns != ns:
-                    continue
-                if key >= start and (not end or key < end):
-                    return True
-        return False
-
-    def writes_overlap(self, other: "_TxProfile") -> bool:
-        return bool(
-            self.writes & other.writes
-            or self.hashed_writes & other.hashed_writes
-        )
+        self.written = BlockWrites()
+        self.written.add(tx)
 
 
 @dataclass(frozen=True)
@@ -192,9 +146,7 @@ class ReorderPipeline:
     """
 
     def __init__(self, channel: "ChannelConfig", features: "FrameworkFeatures") -> None:
-        self._channel = channel
-        self._features = features
-        self._evaluator = channel.evaluator()
+        self._rules = ValidationRules(channel, features)
         # (ns, key) -> (Version | None, block_num): None = deleted (tombstone).
         self._public: dict = {}
         # (ns, col, key_hash) -> (Version | None, block_num).
@@ -245,7 +197,7 @@ class ReorderPipeline:
         candidates = [
             p for p in profiles
             if in_batch_counts[p.tx.tx_id] == 1
-            and self._structural_flag(p.tx) is None
+            and self._rules.static_flag(p.tx, self) is None
         ]
         candidate_ids = {p.tx.tx_id for p in candidates}
         tail = [p for p in profiles if p.tx.tx_id not in candidate_ids]
@@ -254,7 +206,7 @@ class ReorderPipeline:
         # have carried.  Only arrival-doomed transactions are abortable —
         # aborting anything else would change an outcome some client
         # legitimately observed as VALID.
-        arrival_flags = self._predict_sequence([p.tx for p in profiles])
+        arrival_flags = self._rules.block_flags([p.tx for p in profiles], self)
         arrival_doomed = {
             profiles[i].tx.tx_id
             for i, flag in enumerate(arrival_flags)
@@ -267,7 +219,7 @@ class ReorderPipeline:
         # Doom in the *emitted* order; doomed-in-both get aborted.  An
         # invalid transaction contributes no block writes, so removing
         # the aborted ones cannot change any survivor's flag.
-        trial_flags = self._predict_sequence(trial)
+        trial_flags = self._rules.block_flags(trial, self)
         aborted: list = []
         emitted: list = []
         for tx, flag in zip(trial, trial_flags):
@@ -287,7 +239,7 @@ class ReorderPipeline:
         block_number = next_block_number if emitted else None
         # The definitive prediction runs on the final sequence so shadow
         # versions carry the true (block, position) heights, then applies.
-        final_flags = self._predict_sequence(emitted)
+        final_flags = self._rules.block_flags(emitted, self)
         if block_number is not None:
             self._apply_sequence(emitted, final_flags, block_number)
 
@@ -321,11 +273,14 @@ class ReorderPipeline:
             for writer in nodes:
                 if reader is writer:
                     continue
-                if reader.reads_key_of(writer):
+                if writer.written.overlaps(reader.tx):
                     edges[reader.tx.tx_id].add(writer.tx.tx_id)
         for i, first in enumerate(nodes):
             for second in nodes[i + 1:]:
-                if first.writes_overlap(second):
+                if (
+                    first.written.public & second.written.public
+                    or first.written.private & second.written.private
+                ):
                     edges[first.tx.tx_id].add(second.tx.tx_id)
 
         by_id = {p.tx.tx_id: p for p in nodes}
@@ -408,166 +363,29 @@ class ReorderPipeline:
                         queue.append(source)
         return alive
 
-    # -- the shadow oracle ---------------------------------------------------
-    def _predict_sequence(self, transactions: list) -> list:
-        """The flags the peers will assign to this sequence (no state change)."""
-        flags: list = []
-        block_writes: set = set()
-        block_private: set = set()
-        block_tx_ids: set = set()
-        for tx in transactions:
-            flag = self._structural_flag(tx, block_tx_ids)
-            if flag is None:
-                flag = self._conflict_flag(tx, block_writes, block_private)
-            flags.append(flag)
-            block_tx_ids.add(tx.tx_id)
-            if flag is ValidationCode.VALID:
-                for ns in tx.payload.results.namespaces:
-                    for write in ns.writes:
-                        block_writes.add((ns.namespace, write.key))
-                    for col in ns.collections:
-                        for hashed in col.hashed_writes:
-                            block_private.add(
-                                (ns.namespace, col.collection, hashed.key_hash)
-                            )
-        return flags
+    # -- the shadow as the rules' StateView -----------------------------------
+    def has_transaction(self, tx_id: str) -> bool:
+        return tx_id in self._seen_tx
 
-    def _structural_flag(
-        self, tx: TransactionEnvelope, block_tx_ids: Optional[set] = None
-    ) -> Optional[ValidationCode]:
-        """The non-MVCC flag this transaction will carry, or None if clean.
-
-        Mirrors the validator's check order exactly — a stale read behind
-        a bad signature must be flagged for the signature, so such a
-        transaction is never early-abort material.
-        """
-        if tx.tx_id in self._seen_tx or (block_tx_ids and tx.tx_id in block_tx_ids):
-            return ValidationCode.DUPLICATE_TXID
-        if tx.channel_id != self._channel.channel_id:
-            return ValidationCode.INVALID_OTHER
-        if not self._channel.chaincodes.get(tx.chaincode_id):
-            return ValidationCode.INVALID_OTHER
-        if not self._channel.msp_registry.validate_certificate(tx.creator):
-            return ValidationCode.BAD_CREATOR_SIGNATURE
-        if not tx.verify_creator_signature():
-            return ValidationCode.BAD_CREATOR_SIGNATURE
-        if not tx.payload.response.ok:
-            return ValidationCode.BAD_RESPONSE_STATUS
-        if not self._policies_ok(tx):
-            return ValidationCode.ENDORSEMENT_POLICY_FAILURE
-        return None
-
-    def _conflict_flag(
-        self, tx: TransactionEnvelope, block_writes: set, block_private: set
-    ) -> ValidationCode:
-        """MVCC + phantom verdict against shadow state and in-block writes."""
-        for ns in tx.payload.results.namespaces:
-            for read in ns.reads:
-                if (ns.namespace, read.key) in block_writes:
-                    return ValidationCode.MVCC_READ_CONFLICT
-                if self._shadow_version(ns.namespace, read.key) != read.version:
-                    return ValidationCode.MVCC_READ_CONFLICT
-            for col in ns.collections:
-                for hashed in col.hashed_reads:
-                    full = (ns.namespace, col.collection, hashed.key_hash)
-                    if full in block_private:
-                        return ValidationCode.MVCC_READ_CONFLICT
-                    entry = self._private.get(full)
-                    committed = entry[0] if entry else None
-                    if committed != hashed.version:
-                        return ValidationCode.MVCC_READ_CONFLICT
-        for ns in tx.payload.results.namespaces:
-            for query in ns.range_queries:
-                if not self._range_fresh(ns.namespace, query, block_writes):
-                    return ValidationCode.PHANTOM_READ_CONFLICT
-        return ValidationCode.VALID
-
-    def _shadow_version(self, namespace: str, key: str) -> Optional[Version]:
+    def version(self, namespace: str, key: str) -> Optional[Version]:
         entry = self._public.get((namespace, key))
         return entry[0] if entry else None
 
-    def _range_fresh(self, namespace: str, query, block_writes: set) -> bool:
-        current = []
-        for (ns, key), (version, _block) in sorted(self._public.items()):
-            if ns != namespace or version is None:
-                continue
-            if key < query.start_key or (query.end_key and key >= query.end_key):
-                continue
-            current.append((key, version))
-        if current != [(r.key, r.version) for r in query.reads]:
-            return False
-        for write_ns, key in block_writes:
-            if write_ns != namespace:
-                continue
-            if key >= query.start_key and (
-                not query.end_key or key < query.end_key
-            ):
-                return False
-        return True
+    def private_version(
+        self, namespace: str, collection: str, key_hash: bytes
+    ) -> Optional[Version]:
+        entry = self._private.get((namespace, collection, key_hash))
+        return entry[0] if entry else None
 
-    def _policies_ok(self, tx: TransactionEnvelope) -> bool:
-        """The endorsement-policy verdict, with key policies from the shadow."""
-        definition = self._channel.chaincode(tx.chaincode_id)
-        results = tx.payload.results
-        payload_bytes = tx.payload.bytes()
-        signers = []
-        for endorsement in tx.endorsements:
-            if not self._channel.msp_registry.validate_certificate(
-                endorsement.endorser
-            ):
-                continue
-            if endorsement.verify(payload_bytes):
-                signers.append(endorsement.endorser)
+    def validation_parameter(self, namespace: str, key: str) -> Optional[bytes]:
+        return self._meta.get((namespace, key), {}).get("VALIDATION_PARAMETER")
 
-        touched = results.collections_touched()
-        if touched and self._features.filter_nonmember_endorsements:
-            member_orgs: Optional[set] = None
-            for namespace, name in touched:
-                orgs = self._channel.collection(namespace, name).member_orgs()
-                member_orgs = orgs if member_orgs is None else member_orgs & orgs
-            signers = [c for c in signers if c.msp_id in (member_orgs or set())]
-
-        need_chaincode = False
-        extra: list = []
-        if results.is_read_only:
-            need_chaincode = True
-            if self._features.collection_policy_on_reads:
-                for namespace, name in sorted(touched):
-                    config = self._channel.collection(namespace, name)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-        else:
-            for ns in results.namespaces:
-                for write in ns.writes:
-                    key_policy = self._key_policy(ns.namespace, write.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for meta in ns.metadata_writes:
-                    key_policy = self._key_policy(ns.namespace, meta.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for col in ns.collections:
-                    if not col.hashed_writes:
-                        continue
-                    config = self._channel.collection(ns.namespace, col.collection)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-                    else:
-                        need_chaincode = True
-
-        if need_chaincode and not self._evaluator.evaluate(
-            definition.endorsement_policy, signers
-        ):
-            return False
-        return all(self._evaluator.evaluate(text, signers) for text in extra)
-
-    def _key_policy(self, namespace: str, key: str) -> Optional[str]:
-        value = self._meta.get((namespace, key), {}).get("VALIDATION_PARAMETER")
-        return value.decode("utf-8") if value is not None else None
+    def range_versions(self, namespace: str, start: str, end: str) -> list:
+        return sorted(
+            (key, version)
+            for (ns, key), (version, _block) in self._public.items()
+            if ns == namespace and version is not None and in_range(key, start, end)
+        )
 
     # -- conflict attribution ----------------------------------------------
     def _conflict_block(
@@ -581,59 +399,34 @@ class ReorderPipeline:
         transaction's keys.  ``None`` means no attributable block (the
         caller resolves the abort immediately).
         """
-        block_writes: set = set()
-        block_private: set = set()
+        writes = BlockWrites()
         for other, flag in zip(trial, trial_flags):
             if other.tx_id == tx.tx_id:
                 break
-            if flag is not ValidationCode.VALID:
-                continue
-            for ns in other.payload.results.namespaces:
-                for write in ns.writes:
-                    block_writes.add((ns.namespace, write.key))
-                for col in ns.collections:
-                    for hashed in col.hashed_writes:
-                        block_private.add(
-                            (ns.namespace, col.collection, hashed.key_hash)
-                        )
-        latest: Optional[int] = None
+            if flag is ValidationCode.VALID:
+                writes.add(other)
+        if writes.overlaps(tx):
+            return next_block_number
+        blocks: list = []
         for ns in tx.payload.results.namespaces:
             for read in ns.reads:
-                full = (ns.namespace, read.key)
-                if full in block_writes:
-                    return next_block_number
-                entry = self._public.get(full)
-                committed = entry[0] if entry else None
-                if committed != read.version and entry is not None:
-                    latest = entry[1] if latest is None else max(latest, entry[1])
+                entry = self._public.get((ns.namespace, read.key))
+                if entry is not None and entry[0] != read.version:
+                    blocks.append(entry[1])
             for col in ns.collections:
                 for hashed in col.hashed_reads:
-                    full = (ns.namespace, col.collection, hashed.key_hash)
-                    if full in block_private:
-                        return next_block_number
-                    entry = self._private.get(full)
-                    committed = entry[0] if entry else None
-                    if committed != hashed.version and entry is not None:
-                        latest = entry[1] if latest is None else max(latest, entry[1])
+                    entry = self._private.get((ns.namespace, col.collection, hashed.key_hash))
+                    if entry is not None and entry[0] != hashed.version:
+                        blocks.append(entry[1])
             for query in ns.range_queries:
-                if not self._range_fresh(ns.namespace, query, block_writes):
-                    in_block = any(
-                        write_ns == ns.namespace
-                        and key >= query.start_key
-                        and (not query.end_key or key < query.end_key)
-                        for write_ns, key in block_writes
+                if not range_fresh(self, ns.namespace, query, writes):
+                    blocks.extend(
+                        block
+                        for (shadow_ns, key), (_version, block) in self._public.items()
+                        if shadow_ns == ns.namespace
+                        and in_range(key, query.start_key, query.end_key)
                     )
-                    if in_block:
-                        return next_block_number
-                    for (shadow_ns, key), (_version, block) in self._public.items():
-                        if shadow_ns != ns.namespace:
-                            continue
-                        if key < query.start_key or (
-                            query.end_key and key >= query.end_key
-                        ):
-                            continue
-                        latest = block if latest is None else max(latest, block)
-        return latest
+        return max(blocks, default=None)
 
     # -- shadow maintenance --------------------------------------------------
     def _apply_sequence(
@@ -705,32 +498,11 @@ def conflict_scopes(transactions, flags) -> dict:
     ``{tx_id: scope}`` for the conflicted transactions only.
     """
     scopes: dict = {}
-    block_writes: set = set()
-    block_private: set = set()
+    writes = BlockWrites()
     for tx, flag in zip(transactions, flags):
         if flag in _CONFLICT_FLAGS:
-            profile = _TxProfile(tx, 0)
-            within = any(key in block_writes for key, _v in profile.reads) or any(
-                key in block_private for key, _v in profile.hashed_reads
-            )
-            if not within:
-                for ns, start, end, _recorded in profile.ranges:
-                    for write_ns, key in block_writes:
-                        if write_ns != ns:
-                            continue
-                        if key >= start and (not end or key < end):
-                            within = True
-                            break
-                    if within:
-                        break
+            within = writes.overlaps(tx)
             scopes[tx.tx_id] = SCOPE_WITHIN_BLOCK if within else SCOPE_CROSS_BLOCK
         elif flag is ValidationCode.VALID:
-            for ns in tx.payload.results.namespaces:
-                for write in ns.writes:
-                    block_writes.add((ns.namespace, write.key))
-                for col in ns.collections:
-                    for hashed in col.hashed_writes:
-                        block_private.add(
-                            (ns.namespace, col.collection, hashed.key_hash)
-                        )
+            writes.add(tx)
     return scopes

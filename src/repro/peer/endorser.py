@@ -14,7 +14,6 @@ the proposal-response payload.  Two paper-relevant behaviours live here:
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -23,6 +22,7 @@ from repro.chaincode.api import Chaincode
 from repro.chaincode.rwset import PrivateCollectionWrites
 from repro.chaincode.stub import ChaincodeStub
 from repro.common import crypto
+from repro.common.env import env_flag
 from repro.common.errors import EndorsementError
 from repro.common.tracing import PERF
 from repro.core.defense.features import FrameworkFeatures
@@ -47,7 +47,7 @@ _SIM_CACHE_MAX = 512
 
 def endorse_cache_enabled() -> bool:
     """``REPRO_ENDORSE_CACHE=0`` disables the peer-side simulation cache."""
-    return os.environ.get("REPRO_ENDORSE_CACHE", "1") != "0"
+    return env_flag("REPRO_ENDORSE_CACHE", True)
 
 
 #: Every live endorser, so ``clear_simulation_caches`` (hooked into

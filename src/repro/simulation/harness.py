@@ -60,9 +60,7 @@ WEAKENERS: dict = {
 
 def _skip_endorsement_policy(sim: "SimNetwork") -> None:
     for peer in sim.all_peers():
-        peer._validator._check_endorsement_policies = (  # noqa: SLF001
-            lambda tx, ledger: True
-        )
+        peer._validator._rules.policy_ok = lambda tx, view: True  # noqa: SLF001
 
 
 @dataclass

@@ -47,9 +47,14 @@ def split_key(key: str) -> list[str]:
 
 
 def prefix_bounds(*parts: str) -> tuple[str, str]:
-    """``(start, end)`` range covering every key under the composite prefix."""
-    prefix = SEP.join(parts) + SEP
-    return prefix, prefix + "\xff"
+    """``(start, end)`` range covering every key under the composite prefix.
+
+    ``end`` is the exact successor of the separator, so a key part may
+    start with any character (``prefix + "\xff"`` would drop every key
+    whose first character lies above U+00FF).
+    """
+    joined = SEP.join(parts)
+    return joined + SEP, joined + "\x01"
 
 
 class WriteBatch:

@@ -1,8 +1,13 @@
-"""Tests for the small common utilities: hashing, errors."""
+"""Tests for the small common utilities: hashing, errors, env switches."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -89,3 +94,56 @@ class TestErrorHierarchy:
     def test_single_except_catches_all(self):
         with pytest.raises(errors.ReproError):
             raise errors.GossipError("x")
+
+
+# Every boolean REPRO_* switch read after import:
+# (variable, module, resolver, default).
+ENV_RESOLVERS = [
+    ("REPRO_SHARED_VSCC", "repro.peer.validator", "shared_vscc_enabled", True),
+    ("REPRO_BATCH_VERIFY", "repro.peer.validator", "batch_verify_enabled", True),
+    ("REPRO_ENDORSE_CACHE", "repro.peer.endorser", "endorse_cache_enabled", True),
+    ("REPRO_ENDORSE_PLAN", "repro.client.gateway", "endorse_plan_enabled", True),
+    ("REPRO_REORDER", "repro.orderer.reorder", "resolve_reorder", False),
+    ("REPRO_GOSSIP_BATCH", "repro.gossip.dissemination", "resolve_gossip_batch", False),
+    ("REPRO_PRUNE", "repro.ledger.snapshot", "resolve_prune", False),
+]
+
+# (raw value or None for unset, expected value or None for the default).
+ENV_SPELLINGS = [
+    (None, None), ("", None), ("  ", None),
+    ("0", False), ("false", False), ("FALSE", False), ("No", False),
+    ("off", False), ("OFF", False),
+    ("1", True), ("true", True), ("YES", True), ("on", True),
+]
+
+
+class TestEnvFlag:
+    @pytest.mark.parametrize("raw,expected", ENV_SPELLINGS)
+    @pytest.mark.parametrize("variable,module,name,default", ENV_RESOLVERS)
+    def test_every_resolver_parses_alike(
+        self, monkeypatch, variable, module, name, default, raw, expected
+    ):
+        resolver = getattr(importlib.import_module(module), name)
+        if raw is None:
+            monkeypatch.delenv(variable, raising=False)
+        else:
+            monkeypatch.setenv(variable, raw)
+        assert resolver() is (default if expected is None else expected)
+
+    @pytest.mark.parametrize("raw,expected", ENV_SPELLINGS)
+    def test_crypto_switches_frozen_at_import(self, raw, expected):
+        # Both crypto switches (default on) are read once, at import, so
+        # each spelling needs a fresh interpreter.
+        switches = ("REPRO_CRYPTO_FAST", "REPRO_VERIFY_CACHE")
+        env = {k: v for k, v in os.environ.items() if k not in switches}
+        if raw is not None:
+            env.update(dict.fromkeys(switches, raw))
+        src = str(Path(importlib.import_module("repro").__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        probe = "from repro.common import crypto; print(crypto._FAST_PATH, crypto._CACHE_ENABLED)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        want = str(True if expected is None else expected)
+        assert result.stdout.split() == [want, want]

@@ -163,7 +163,7 @@ class TestMultiChannelValidateBlocks:
         for validator, block, ledger in jobs:
             groups = validator.signature_workload(block, ledger)
             assert groups, "committed block must have batchable signatures"
-            items = validator._collect_signature_items(block, ledger, None)
+            items = validator._collect_signature_items(block, ledger)
             assert sum(groups) == len(items)
 
     def test_sharded_combined_pass_matches_reference(self, two_channels):

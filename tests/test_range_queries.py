@@ -66,12 +66,15 @@ class TestRangeScan:
         ledger = PeerLedger()
         ledger.world_state.put("assetcc", "x", b"1", Version(0, 0))
         ledger.world_state.put("assetcc", "y", b"2", Version(0, 0))
+        # Keys whose first character lies above U+00FF sort after every
+        # Latin-1 key and must still fall inside an open-ended scan.
+        ledger.world_state.put("assetcc", "ключ", b"3", Version(0, 0))
         client = channel.organization("Org1MSP").enroll_client()
         stub = ChaincodeStub(
             new_proposal("testchannel", "assetcc", "fn", [], client.certificate),
             ledger, channel, "Org1MSP",
         )
-        assert [k for k, _ in stub.get_state_by_range("", "")] == ["x", "y"]
+        assert [k for k, _ in stub.get_state_by_range("", "")] == ["x", "y", "ключ"]
 
 
 class TestPhantomProtection:

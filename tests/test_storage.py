@@ -23,6 +23,7 @@ from repro.identity.organization import Organization
 from repro.ledger.ledger import PeerLedger
 from repro.ledger.transient_store import TransientStore
 from repro.ledger.version import Version
+from repro.ledger.world_state import WorldState
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
@@ -76,6 +77,15 @@ class TestBackends:
         assert [k for k, _ in backend.range("ns")] == ["a", "b", "c", "d"]
         assert [k for k, _ in backend.range("ns", "b", "d")] == ["b", "c"]
         assert backend.count("ns") == 4
+
+    def test_world_state_items_cover_non_latin_keys(self, backend):
+        state = WorldState(backend)
+        for key in ("a", "ā", "z中"):
+            state.put("cc", key, b"v", Version(0, 0))
+        state.put("cd", "ā", b"other namespace", Version(0, 0))
+        assert [k for k, _ in state.items("cc")] == ["a", "z中", "ā"]
+        assert [k for k, _ in state.items("cc", "b")] == ["z中", "ā"]
+        assert [k for k, _ in state.items("cc", "", "ā")] == ["a", "z中"]
 
     def test_namespaces_isolated(self, backend):
         backend.put("ns1", "k", b"1")

@@ -170,14 +170,14 @@ class TestCertificateMemo:
         from repro.identity.roles import Role
 
         net = _network()
-        validator = net.peer_of(1)._validator
+        rules = net.peer_of(1)._validator._rules
         late_ca = CertificateAuthority("LateOrgMSP", seed=b"late-org")
         certificate = late_ca.enroll("late-peer", Role.PEER).certificate
-        assert not validator._certificate_valid(certificate)
+        assert not rules.certificate_valid(certificate)
         net.network.channel.msp_registry.register(late_ca)
-        assert validator._certificate_valid(certificate)
+        assert rules.certificate_valid(certificate)
         # Now memoized positively: no registry call on the second probe.
-        assert certificate in validator._cert_memo
+        assert certificate in rules._cert_memo
 
 
 class TestBatchedPrePass:
