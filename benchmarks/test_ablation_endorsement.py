@@ -43,6 +43,7 @@ from pathlib import Path
 
 from repro.chaincode.contracts import AssetContract
 from repro.common import crypto
+from repro.common.env import RunConfig
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
@@ -70,13 +71,13 @@ def _rounds(default: int = 16) -> int:
     return int(os.environ.get("REPRO_BENCH_TX", default))
 
 
-def _network() -> FabricNetwork:
+def _network(run: RunConfig) -> FabricNetwork:
     reset_ca_instance_counter()
     reset_nonce_counter()
     organizations = [Organization(f"Org{i}MSP") for i in range(1, ORGS + 1)]
     channel = ChannelConfig(channel_id="endchan", organizations=organizations)
     channel.deploy_chaincode("assetcc", endorsement_policy="MAJORITY Endorsement")
-    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE)
+    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE, run=run)
     for org in organizations:
         for n in range(PEERS_PER_ORG):
             net.add_peer(org.msp_id, f"peer{n}")
@@ -86,15 +87,13 @@ def _network() -> FabricNetwork:
 
 def _run_mode(mode: str, rounds: int) -> dict:
     plan, cache = MODES[mode]
-    os.environ["REPRO_ENDORSE_PLAN"] = "1" if plan else "0"
-    os.environ["REPRO_ENDORSE_CACHE"] = "1" if cache else "0"
     # Identities replay across modes (counters reset), so an earlier
     # mode's verification verdicts must not leak into the next — but the
     # fixed-base window tables stay warm: they are a shared one-time
     # substrate cost, not part of the endorsement ablation.
     crypto.clear_verify_cache()
 
-    net = _network()
+    net = _network(RunConfig.from_env(endorse_plan=plan, endorse_cache=cache))
     runtime = net.attach_runtime(seed=0)
     client = net.client("Org1MSP")
 
@@ -136,10 +135,6 @@ def _run_mode(mode: str, rounds: int) -> dict:
 
 def test_endorsement_ablation(results_dir):
     rounds = _rounds()
-    saved = {
-        "plan": os.environ.get("REPRO_ENDORSE_PLAN"),
-        "cache": os.environ.get("REPRO_ENDORSE_CACHE"),
-    }
     try:
         # Warm-up run: pay one-time costs (imports, key derivation,
         # fixed-base window tables) before any mode is billed for them.
@@ -149,12 +144,6 @@ def test_endorsement_ablation(results_dir):
 
         rows = [_run_mode(mode, rounds) for mode in MODES]
     finally:
-        for env, value in (("REPRO_ENDORSE_PLAN", saved["plan"]),
-                           ("REPRO_ENDORSE_CACHE", saved["cache"])):
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
         crypto.clear_caches()
 
     by_mode = {row["mode"]: row for row in rows}

@@ -51,6 +51,7 @@ from pathlib import Path
 
 from repro.chaincode.contracts import AssetContract
 from repro.common import crypto
+from repro.common.env import RunConfig
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
@@ -79,13 +80,13 @@ def _rounds(default: int = 36) -> int:
     return int(os.environ.get("REPRO_BENCH_TX", default))
 
 
-def _network() -> FabricNetwork:
+def _network(run: RunConfig) -> FabricNetwork:
     reset_ca_instance_counter()
     reset_nonce_counter()
     organizations = [Organization(f"Org{i}MSP") for i in range(1, ORGS + 1)]
     channel = ChannelConfig(channel_id="execchan", organizations=organizations)
     channel.deploy_chaincode("assetcc", endorsement_policy="MAJORITY Endorsement")
-    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE)
+    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE, run=run)
     for org in organizations:
         for n in range(PEERS_PER_ORG):
             net.add_peer(org.msp_id, f"peer{n}")
@@ -102,14 +103,15 @@ def _chain_shape(net: FabricNetwork) -> list:
 
 
 def _run_leg(leg: str, rounds: int) -> dict:
-    os.environ["REPRO_EXECUTOR"] = LEGS[leg]
     reset_backend()
     # Identities replay across legs (counters reset), so verdicts must
     # not leak between legs; window tables stay warm — a shared one-time
     # substrate cost, not part of what the ablation varies.
     crypto.clear_verify_cache()
 
-    net = _network()
+    # The shared VSCC memo is off so every peer's validation does the
+    # crypto the legs spread; attaching the runtime pins the leg's executor.
+    net = _network(RunConfig.from_env(executor=LEGS[leg], shared_vscc=False))
     runtime = net.attach_runtime(seed=0, validate_cost=ValidationCostModel())
     clients = [
         net.client(f"Org{i % ORGS + 1}MSP", name=f"bench{i}") for i in range(CLIENTS)
@@ -153,11 +155,6 @@ def _run_leg(leg: str, rounds: int) -> dict:
 
 def test_executor_ablation(results_dir):
     rounds = _rounds()
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_EXECUTOR", "REPRO_EXECUTOR_WORKERS", "REPRO_SHARED_VSCC")
-    }
-    os.environ["REPRO_SHARED_VSCC"] = "0"
     try:
         # Warm-up: pay one-time costs (imports, key derivation, window
         # tables) before any leg is billed for them.
@@ -165,11 +162,6 @@ def test_executor_ablation(results_dir):
 
         rows, shapes = zip(*[_run_leg(leg, rounds) for leg in LEGS])
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         reset_backend()
         crypto.clear_caches()
 

@@ -1,4 +1,4 @@
-"""Ablation — the gossip fast path (``REPRO_GOSSIP_BATCH`` + anti-entropy).
+"""Ablation — the gossip fast path (``gossip_batch`` + anti-entropy).
 
 Three claims, each a committed gate in ``BENCH_gossip.json``:
 
@@ -24,17 +24,20 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 from repro.chaincode.api import Chaincode, require_args
 from repro.chaincode.contracts import PrivateAssetContract
+from repro.common.env import RunConfig
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
-from repro.simulation.harness import run_gossip_equivalence
+from repro.simulation.config import SimulationConfig
+from repro.simulation.harness import run_differential
 
 from _bench_utils import record
 
@@ -78,7 +81,7 @@ def _fanout_network(member_count: int = 5, gossip_batch: bool = False) -> Fabric
             for name in COLLECTIONS
         ],
     )
-    net = FabricNetwork(channel=channel, gossip_batch=gossip_batch)
+    net = FabricNetwork(channel=channel, run=RunConfig.from_env(gossip_batch=gossip_batch))
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("multicc", ThreeCollectionContract())
@@ -160,7 +163,8 @@ def _converge_backlog(gap_count: int) -> dict:
         )],
     )
     net = FabricNetwork(
-        channel=channel, gossip_batch=True, anti_entropy_every=2.0,
+        channel=channel,
+        run=RunConfig.from_env(gossip_batch=True, anti_entropy_every=2.0),
     )
     for org in orgs:
         net.add_peer(org.msp_id)
@@ -233,7 +237,11 @@ class TestGossipEquivalenceSweep:
         ops = _ops()
         rows = []
         for seed in (1, 2, 3, 5, 8):
-            report = run_gossip_equivalence(seed, ops)
+            config = replace(
+                SimulationConfig.generate(seed, ops),
+                gossip_batch=False, anti_entropy_every=4.0,
+            )
+            report = run_differential(config, {"gossip_batch": True})
             assert report.ok, [str(v) for v in report.violations]
             rows.append({
                 "seed": seed,
@@ -241,7 +249,7 @@ class TestGossipEquivalenceSweep:
                 "state_digest": report.reference.stats.get("state_digest"),
                 "gossip_pushes": report.reference.stats.get("gossip_pushes"),
                 "reference_messages": report.reference.stats.get("gossip_pushes"),
-                "batched_messages": report.batched.stats.get("gossip_payloads"),
+                "batched_messages": report.candidate.stats.get("gossip_payloads"),
             })
         lines = [
             "Gossip equivalence — reference vs batched, same AE cadence",

@@ -33,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaincode.contracts import AssetContract
+from repro.common.env import RunConfig
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
@@ -53,8 +54,8 @@ def _network(state_backend: str, state_dir) -> FabricNetwork:
     channel.deploy_chaincode("assetcc", endorsement_policy="OR('Org1MSP.member')")
     net = FabricNetwork(
         channel=channel,
-        state_backend=state_backend,
         state_dir=str(state_dir) if state_backend == "wal" else None,
+        run=RunConfig.from_env(state_backend=state_backend),
     )
     net.add_peer("Org1MSP")
     net.install_chaincode("assetcc", AssetContract())
@@ -173,8 +174,8 @@ def _grown_network(blocks: int) -> FabricNetwork:
     channel.deploy_chaincode("assetcc", endorsement_policy="OR('Org1MSP.member')")
     net = FabricNetwork(
         channel=channel,
-        snapshot_every=JOIN_SNAPSHOT_EVERY,
-        prune=False,  # keep the full backlog so the replay leg stays runnable
+        # No pruning: keep the full backlog so the replay leg stays runnable.
+        run=RunConfig.from_env(snapshot_every=JOIN_SNAPSHOT_EVERY, prune=False),
     )
     net.add_peer("Org1MSP")
     net.install_chaincode("assetcc", AssetContract())

@@ -43,7 +43,7 @@ from repro.common import crypto
 from repro.protocol.transaction import ValidationCode
 from repro.runtime.executor import reset_backend
 from repro.simulation.config import SimulationConfig
-from repro.simulation.harness import compare_reports, execute, generate
+from repro.simulation.harness import run_differential
 
 from _bench_utils import record
 
@@ -79,18 +79,15 @@ def _cell_config(warehouses: int, rate: float, ops: int) -> SimulationConfig:
 
 def _run_cell(warehouses: int, rate: float, ops: int, reorder: bool) -> dict:
     config = replace(_cell_config(warehouses, rate, ops), reorder=reorder)
-    cell_ops, faults = generate(config)
 
     started = time.perf_counter()
-    serial = execute(config, cell_ops, faults)
-    parallel = execute(
-        replace(config, executor=PARALLEL_SPEC), cell_ops, faults
-    )
+    report = run_differential(config, {"executor": PARALLEL_SPEC})
     wall_s = time.perf_counter() - started
+    serial, parallel = report.reference, report.candidate
 
     assert serial.ok, [str(v) for v in serial.violations[:5]]
     assert parallel.ok, [str(v) for v in parallel.violations[:5]]
-    divergences = compare_reports(serial, parallel)
+    divergences = report.violations
     assert not divergences, [str(v) for v in divergences[:5]]
 
     stats = serial.stats
@@ -127,10 +124,6 @@ def _run_cell(warehouses: int, rate: float, ops: int, reorder: bool) -> dict:
 
 def test_tpcc_contention_ablation(results_dir):
     ops = _ops()
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_EXECUTOR", "REPRO_EXECUTOR_WORKERS")
-    }
     try:
         rows = [
             _run_cell(w, rate, ops, reorder)
@@ -138,11 +131,6 @@ def test_tpcc_contention_ablation(results_dir):
             for reorder in (False, True)
         ]
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         reset_backend()
         crypto.clear_caches()
 

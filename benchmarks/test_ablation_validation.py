@@ -38,6 +38,7 @@ from pathlib import Path
 
 from repro.chaincode.contracts import AssetContract
 from repro.common import crypto
+from repro.common.env import RunConfig
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
@@ -65,13 +66,13 @@ def _tx_count(default: int = 48) -> int:
     return int(os.environ.get("REPRO_BENCH_TX", default))
 
 
-def _network() -> FabricNetwork:
+def _network(run: RunConfig) -> FabricNetwork:
     reset_ca_instance_counter()
     reset_nonce_counter()
     organizations = [Organization(f"Org{i}MSP") for i in range(1, ORGS + 1)]
     channel = ChannelConfig(channel_id="valchan", organizations=organizations)
     channel.deploy_chaincode("assetcc", endorsement_policy="MAJORITY Endorsement")
-    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE)
+    net = FabricNetwork(channel=channel, batch_size=BATCH_SIZE, run=run)
     for org in organizations:
         for n in range(PEERS_PER_ORG):
             net.add_peer(org.msp_id, f"peer{n}")
@@ -83,11 +84,9 @@ def _run_mode(mode: str, transactions: int) -> dict:
     fast, cache, batch, memo = MODES[mode]
     crypto.set_fast_path(fast)
     crypto.set_verify_cache(cache)
-    os.environ["REPRO_BATCH_VERIFY"] = "1" if batch else "0"
-    os.environ["REPRO_SHARED_VSCC"] = "1" if memo else "0"
     crypto.clear_caches()
 
-    net = _network()
+    net = _network(RunConfig.from_env(batch_verify=batch, shared_vscc=memo))
     runtime = net.attach_runtime(seed=0)
     client = net.client("Org1MSP")
     # MAJORITY of 4 orgs needs 3 endorsing orgs; endorse at one peer each.
@@ -134,8 +133,6 @@ def test_validation_fastpath_ablation(results_dir):
     saved = {
         "fast": crypto.fast_path_enabled(),
         "cache": crypto.verify_cache_enabled(),
-        "batch": os.environ.get("REPRO_BATCH_VERIFY"),
-        "memo": os.environ.get("REPRO_SHARED_VSCC"),
     }
     try:
         # Warm-up run: pay one-time costs (imports, key derivation) before
@@ -146,12 +143,6 @@ def test_validation_fastpath_ablation(results_dir):
     finally:
         crypto.set_fast_path(saved["fast"])
         crypto.set_verify_cache(saved["cache"])
-        for env, value in (("REPRO_BATCH_VERIFY", saved["batch"]),
-                           ("REPRO_SHARED_VSCC", saved["memo"])):
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
         crypto.clear_caches()
 
     by_mode = {row["mode"]: row for row in rows}

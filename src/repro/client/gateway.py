@@ -21,13 +21,13 @@ computes a minimal endorser set from the chaincode's endorsement policy,
 contacts only that set (in parallel sim-time when an event runtime is
 attached), completes as soon as the collected responses satisfy every
 policy validation will apply, and escalates to backup endorsers on
-failure or timeout.  ``REPRO_ENDORSE_PLAN=0`` disables planning and
-restores the sequential endorse-everywhere path everywhere.
+failure or timeout.  The network's ``endorse_plan`` run switch
+(``REPRO_ENDORSE_PLAN=0``) disables planning and restores the sequential
+endorse-everywhere path everywhere.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -39,7 +39,6 @@ from repro.common.errors import (
     ProposalResponseMismatchError,
     TransactionInvalidError,
 )
-from repro.common.env import env_flag
 from repro.common.hashing import sha256
 from repro.common.tracing import PERF
 from repro.identity.identity import SigningIdentity
@@ -58,19 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import PendingTransaction
 
 
-def endorse_plan_enabled() -> bool:
-    """``REPRO_ENDORSE_PLAN=0`` disables policy-aware endorsement plans."""
-    return env_flag("REPRO_ENDORSE_PLAN", True)
-
-
-def endorsement_timeout() -> float:
-    """Sim-time wait per endorsement wave (``REPRO_ENDORSE_TIMEOUT``).
-
-    Clamped to a small positive floor: a plan with no timer could wait
-    forever on a dropped message, and liveness accounting expects every
-    endorsement to resolve one way or the other.
-    """
-    return max(0.1, float(os.environ.get("REPRO_ENDORSE_TIMEOUT", "5.0")))
+#: Sim-time wait per endorsement wave before escalating to backups.  A
+#: plan with no timer could wait forever on a dropped message, and
+#: liveness accounting expects every endorsement to resolve.
+ENDORSEMENT_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -187,7 +177,7 @@ class Gateway:
             proposal = self._proposal(chaincode_id, function, args, transient)
             plan = self._build_plan(chaincode_id, peers)
             return runtime.endorse_async(
-                self, proposal, plan, timeout=endorsement_timeout()
+                self, proposal, plan, timeout=ENDORSEMENT_TIMEOUT
             )
         envelope, payload = self._endorse_and_assemble(
             chaincode_id, function, args, transient, endorsing_peers,
@@ -238,7 +228,7 @@ class Gateway:
         endorsing_peers: Optional[Sequence["PeerNode"]],
         endorsement_plan: Optional[bool],
     ) -> bool:
-        if not endorse_plan_enabled():
+        if not self._network.run.endorse_plan:
             return False
         if endorsement_plan is not None:
             return endorsement_plan

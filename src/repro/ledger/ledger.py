@@ -1,8 +1,8 @@
 """The per-peer ledger: world state + private stores + blockchain.
 
 One :class:`PeerLedger` instance backs one peer on one channel.  All five
-stores share one :class:`repro.storage.KVBackend` (memory or WAL,
-selected via ``REPRO_STATE_BACKEND``), so a block's public writes, hash
+stores share one :class:`repro.storage.KVBackend` (memory by default; a
+network opens the kind its ``state_backend`` run switch names), so a block's public writes, hash
 writes, plaintext writes, transient-store cleanup and the block itself
 commit as **one atomic batch** — and ``crash()``/``reopen()`` model a
 peer process dying and recovering from its durable state.
@@ -29,7 +29,7 @@ from repro.ledger.private_state import PrivateDataStore, PrivateHashStore
 from repro.ledger.transient_store import TransientStore
 from repro.ledger.version import Version
 from repro.ledger.world_state import WorldState
-from repro.storage import KVBackend, WriteBatch, compose_key, open_backend, read_through, split_key, write_op
+from repro.storage import KVBackend, MemoryBackend, WriteBatch, compose_key, read_through, split_key, write_op
 from repro.storage.codec import (
     PICKLE_MARKER,
     U64_PAIR_SIZE,
@@ -203,7 +203,7 @@ class PeerLedger:
     """Everything one peer stores for one channel."""
 
     def __init__(self, backend: Optional[KVBackend] = None) -> None:
-        self.backend = backend if backend is not None else open_backend()
+        self.backend = backend if backend is not None else MemoryBackend()
         self._open_stores()
 
     def _open_stores(self) -> None:

@@ -14,28 +14,22 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.chaincode.api import Chaincode
 from repro.client.gateway import Gateway, SubmitResult
+from repro.common.env import RunConfig
 from repro.common.errors import ConfigError, EndorsementError
 from repro.common.tracing import PERF, Tracer
 from repro.core.defense.features import FrameworkFeatures
-from repro.gossip.dissemination import (
-    GossipNetwork,
-    resolve_anti_entropy_every,
-    resolve_gossip_batch,
-)
+from repro.gossip.dissemination import GossipNetwork
 from repro.gossip.reconciler import Reconciler
-from repro.ledger.snapshot import (
-    bootstrap_from_package,
-    resolve_prune,
-    resolve_snapshot_every,
-)
+from repro.ledger.snapshot import bootstrap_from_package
 from repro.network.channel import ChannelConfig
-from repro.orderer.reorder import ReorderPipeline, conflict_scopes, resolve_reorder
+from repro.orderer.reorder import ReorderPipeline, conflict_scopes
 from repro.orderer.service import OrderingService
 from repro.peer.endorser import EndorsementOutput
 from repro.peer.node import PeerNode
 from repro.protocol.proposal import Proposal
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
-from repro.storage import open_backend, resolve_backend_kind
+from repro.runtime.executor import set_backend
+from repro.storage import open_backend
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ledger.block import Block
@@ -54,53 +48,34 @@ class FabricNetwork:
         batch_size: int = 1,
         disseminate_on_endorsement: bool = True,
         tracer: "Tracer | None" = None,
-        state_backend: str | None = None,
         state_dir: str | None = None,
-        snapshot_every: int | None = None,
-        prune: bool | None = None,
-        reorder: bool | None = None,
-        gossip_batch: bool | None = None,
-        anti_entropy_every: float | None = None,
+        run: RunConfig | None = None,
     ) -> None:
         self.channel = channel
         self.features = features or FrameworkFeatures.original()
-        # Storage engine for every peer ledger in this network (resolved
-        # from REPRO_STATE_BACKEND when not given).  ``state_dir`` roots
-        # the per-peer WAL directories; by default each peer gets a fresh
-        # scratch directory.
-        self.state_backend = resolve_backend_kind(state_backend)
+        # Every behaviour switch, resolved once (``None`` reads the
+        # ``REPRO_*`` environment now); the parts below get plain values.
+        self.run = run if run is not None else RunConfig.from_env()
+        # ``state_dir`` roots the per-peer WAL directories; by default
+        # each peer gets a fresh scratch directory.
         self._state_dir = state_dir
-        # Snapshot checkpointing interval and pruning toggle for every
-        # peer (resolved from REPRO_SNAPSHOT_EVERY / REPRO_PRUNE when not
-        # given; 0 / False keep the un-snapshotted reference behaviour).
-        self.snapshot_every = resolve_snapshot_every(snapshot_every)
-        self.prune_enabled = resolve_prune(prune)
-        # Gossip fast path (resolved from REPRO_GOSSIP_BATCH /
-        # REPRO_ANTI_ENTROPY_EVERY when not given): coalesced per-target
-        # dissemination payloads, and the cadence of the digest-driven
-        # anti-entropy loop the runtime schedules (0 = off).
-        self.gossip_batch_enabled = resolve_gossip_batch(gossip_batch)
-        self.anti_entropy_every = resolve_anti_entropy_every(anti_entropy_every)
-        self.gossip = GossipNetwork(channel, batch=self.gossip_batch_enabled)
+        self.gossip = GossipNetwork(channel, batch=self.run.gossip_batch)
         self.reconciler = Reconciler(self.gossip)
-        # Conflict-aware ordering (resolved from REPRO_REORDER when not
-        # given): the orderer reorders each cut batch along its conflict
-        # graph and early-aborts provably doomed transactions.
-        self.reorder_enabled = resolve_reorder(reorder)
+        # Conflict-aware ordering: the orderer reorders each cut batch
+        # along its conflict graph and early-aborts provably doomed
+        # transactions.
         self.orderer = OrderingService(
             cluster_size=orderer_cluster_size,
             batch_size=batch_size,
             reorderer=(
-                ReorderPipeline(channel, self.features)
-                if self.reorder_enabled
-                else None
+                ReorderPipeline(channel, self.features) if self.run.reorder else None
             ),
         )
         self._peers: dict[str, PeerNode] = {}
         self._peer_delivery: dict[str, Callable[["Block"], object]] = {}
         self._disseminate = disseminate_on_endorsement
         self.tracer = tracer
-        if self.reorder_enabled and tracer is not None:
+        if self.run.reorder and tracer is not None:
             self.orderer.on_early_abort(
                 lambda envelope, reason, conflict_block: tracer.record(
                     "orderer", "early-abort", envelope.tx_id,
@@ -117,15 +92,18 @@ class FabricNetwork:
         org = self.channel.organization(msp_id)
         identity = org.enroll_peer(name)
         backend = open_backend(
-            self.state_backend, directory=self._state_dir, name=identity.enrollment_id
+            self.run.state_backend, directory=self._state_dir, name=identity.enrollment_id
         )
         peer = PeerNode(
             identity=identity,
             channel=self.channel,
             features=features or self.features,
             backend=backend,
-            snapshot_every=self.snapshot_every,
-            prune=self.prune_enabled,
+            snapshot_every=self.run.snapshot_every,
+            prune=self.run.prune,
+            shared_vscc=self.run.shared_vscc,
+            batch_verify=self.run.batch_verify,
+            endorse_cache=self.run.endorse_cache,
         )
         if peer.name in self._peers:
             raise ConfigError(f"peer {peer.name!r} already exists")
@@ -173,7 +151,7 @@ class FabricNetwork:
         if self.runtime is not None:
             self.runtime.join_peer(peer, handler)
             return peer
-        if self.snapshot_every:
+        if self.run.snapshot_every:
             package = self.gossip.fetch_snapshot(
                 peer, min_height=self.orderer.backlog_offset
             )
@@ -228,14 +206,17 @@ class FabricNetwork:
         runs the event loop until its own commit.  Attach the runtime
         *after* adding peers but before submitting traffic.
 
-        ``mempool_limit`` bounds transactions in flight (default: the
-        ``REPRO_MEMPOOL_LIMIT`` env var, else unbounded); ``validate_cost``
-        attaches a :class:`~repro.runtime.executor.ValidationCostModel`
-        charging each block's validation its simulated service time.
+        ``mempool_limit`` bounds transactions in flight (default
+        unbounded); ``validate_cost`` attaches a
+        :class:`~repro.runtime.executor.ValidationCostModel` charging each
+        block's validation its simulated service time.  The run's
+        executor is pinned process-wide from here on.
         """
         if self.runtime is not None:
             raise ConfigError("a runtime is already attached to this network")
         from repro.runtime.runtime import DEFAULT_BATCH_TIMEOUT, TransactionRuntime
+
+        set_backend(self.run.executor)
 
         runtime = TransactionRuntime(
             self,

@@ -59,7 +59,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.env import env_flag
 from repro.common.tracing import PERF
 from repro.ledger.version import Version
 from repro.peer.rules import BlockWrites, ValidationRules, in_range, range_fresh
@@ -68,9 +67,6 @@ from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.defense.features import FrameworkFeatures
     from repro.network.channel import ChannelConfig
-
-#: Environment toggle: ``REPRO_REORDER=1`` enables the pipeline.
-ENV_REORDER = "REPRO_REORDER"
 
 #: The two flags a conflict-aware orderer may predict-and-abort on.
 _CONFLICT_FLAGS = (
@@ -81,13 +77,6 @@ _CONFLICT_FLAGS = (
 #: ``scope`` classification of a committed MVCC/phantom abort.
 SCOPE_WITHIN_BLOCK = "within-block"
 SCOPE_CROSS_BLOCK = "cross-block"
-
-
-def resolve_reorder(enabled: Optional[bool] = None) -> bool:
-    """Reorder toggle: explicit argument > ``REPRO_REORDER`` > off."""
-    if enabled is None:
-        return env_flag(ENV_REORDER, False)
-    return bool(enabled)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,6 @@ from repro.ledger.snapshot import (
     SnapshotStore,
     build_snapshot,
     filter_package_for,
-    resolve_prune,
-    resolve_snapshot_every,
 )
 from repro.peer.committer import Committer
 from repro.peer.endorser import EndorsementOutput, Endorser
@@ -54,16 +52,19 @@ class PeerNode:
         channel: "ChannelConfig",
         features: FrameworkFeatures | None = None,
         backend: Optional[KVBackend] = None,
-        snapshot_every: Optional[int] = None,
-        prune: Optional[bool] = None,
+        snapshot_every: int = 0,
+        prune: bool = False,
+        shared_vscc: bool = True,
+        batch_verify: bool = True,
+        endorse_cache: bool = True,
     ) -> None:
         self.identity = identity
         self.channel = channel
         self.features = features or FrameworkFeatures.original()
         self.ledger = PeerLedger(backend)
         self.crashed = False
-        self.snapshot_every = resolve_snapshot_every(snapshot_every)
-        self.prune_enabled = resolve_prune(prune)
+        self.snapshot_every = snapshot_every
+        self.prune_enabled = prune
         self.snapshots = SnapshotStore(self.ledger)
         self._chaincodes: dict[str, Chaincode] = {}
         self._endorser = Endorser(
@@ -72,8 +73,14 @@ class PeerNode:
             channel=channel,
             chaincodes=self._chaincodes,
             features=self.features,
+            use_sim_cache=endorse_cache,
         )
-        self._validator = Validator(channel=channel, features=self.features)
+        self._validator = Validator(
+            channel=channel,
+            features=self.features,
+            use_shared_memo=shared_vscc,
+            use_batch=batch_verify,
+        )
         self._committer = Committer(channel=channel, local_msp_id=identity.msp_id)
         self._commit_listeners: list[CommitListener] = []
         self._snapshot_sig_listeners: list[SnapshotSigListener] = []

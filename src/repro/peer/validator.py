@@ -15,7 +15,6 @@ import hashlib
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.common import crypto
-from repro.common.env import env_flag
 from repro.common.tracing import PERF
 from repro.core.defense.features import FrameworkFeatures
 from repro.ledger.block import Block
@@ -25,16 +24,6 @@ from repro.protocol.transaction import ValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
-
-
-def shared_vscc_enabled() -> bool:
-    """The ``REPRO_SHARED_VSCC=0`` escape hatch (read per block)."""
-    return env_flag("REPRO_SHARED_VSCC", True)
-
-
-def batch_verify_enabled() -> bool:
-    """``REPRO_BATCH_VERIFY=0`` disables the batched signature pre-pass."""
-    return env_flag("REPRO_BATCH_VERIFY", True)
 
 
 # The shared VSCC memo: per channel object, {(block hash, features) ->
@@ -66,15 +55,13 @@ class Validator:
         self,
         channel: "ChannelConfig",
         features: FrameworkFeatures,
-        use_shared_memo: Optional[bool] = None,
-        use_batch: Optional[bool] = None,
+        use_shared_memo: bool = True,
+        use_batch: bool = True,
     ) -> None:
         self._channel = channel
         self._features = features
         self._rules = ValidationRules(channel, features)
-        # None -> consult REPRO_SHARED_VSCC per block; True/False -> pin.
         self._use_shared_memo = use_shared_memo
-        # None -> consult REPRO_BATCH_VERIFY per block; True/False -> pin.
         self._use_batch = use_batch
 
     # -- block-level entry point ------------------------------------------
@@ -91,12 +78,7 @@ class Validator:
         """
         memo: Optional[dict] = None
         memo_key = None
-        use_memo = (
-            shared_vscc_enabled()
-            if self._use_shared_memo is None
-            else self._use_shared_memo
-        )
-        if use_memo:
+        if self._use_shared_memo:
             memo = _shared_memo_for(self._channel)
             memo_key = (block.header.block_hash(), self._features)
             hit = memo.get(memo_key)
@@ -111,13 +93,10 @@ class Validator:
             memo[memo_key] = tuple(flags)
         return flags
 
-    def _batching(self) -> bool:
-        return batch_verify_enabled() if self._use_batch is None else self._use_batch
-
     def _validate_block_fresh(
         self, block: Block, ledger: PeerLedger
     ) -> list[ValidationCode]:
-        if self._batching():
+        if self._use_batch:
             self._prewarm_signatures(block, ledger)
         return self._rules.block_flags(block.transactions, ledger)
 
@@ -203,7 +182,7 @@ def validate_blocks(
     items: list[tuple] = []
     transcript = hashlib.sha256(b"repro-multi-channel-batch")
     for validator, block, ledger in jobs:
-        if not validator._batching():
+        if not validator._use_batch:
             continue
         items.extend(validator._collect_signature_items(block, ledger))
         transcript.update(block.header.block_hash())

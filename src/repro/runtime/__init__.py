@@ -12,7 +12,7 @@ concurrently.  Attach one with ``network.attach_runtime(seed=...)``.
 The package also hosts the pluggable :mod:`execution backends
 <repro.runtime.executor>`: the serial byte-identical reference and the
 ``multiprocessing`` pool that CPU-bound crypto offloads through, selected
-via ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS``.
+by the run's ``executor`` spec (``REPRO_EXECUTOR``).
 """
 
 from repro.runtime.bus import Endpoint, Message, MessageBus
@@ -25,8 +25,6 @@ from repro.runtime.executor import (
     current_backend,
     plan_shards,
     reset_backend,
-    resolve_executor_kind,
-    resolve_worker_count,
     set_backend,
     shard_makespan,
 )
@@ -41,7 +39,6 @@ from repro.runtime.runtime import (
     DEFAULT_BATCH_TIMEOUT,
     PendingTransaction,
     TransactionRuntime,
-    resolve_mempool_limit,
 )
 from repro.runtime.scheduler import EventScheduler, ScheduledEvent
 
@@ -66,9 +63,6 @@ __all__ = [
     "no_latency",
     "plan_shards",
     "reset_backend",
-    "resolve_executor_kind",
-    "resolve_mempool_limit",
-    "resolve_worker_count",
     "set_backend",
     "shard_makespan",
     "wan_latency",

@@ -25,10 +25,11 @@ computes the identical per-shard work the pool would, inline — which is
 what makes the ``parallel-equivalence`` simulation invariant (process
 run byte-identical to the serial reference) checkable at all.
 
-Selection follows the storage-factory idiom: explicit argument over the
-``REPRO_EXECUTOR`` environment variable over the serial default.  The
-spec accepts an inline worker count (``process:4``); otherwise
-``REPRO_EXECUTOR_WORKERS`` sets it.
+The backend is chosen by a spec (``serial``, ``process`` or ``process:N``;
+the kind's default worker count applies when the spec names none).  A
+network pins it from its :class:`~repro.common.env.RunConfig` when it
+attaches a runtime; until something pins one, the spec ``REPRO_EXECUTOR``
+held when the backend was first needed stays in force.
 
 :class:`ValidationCostModel` is the simulated-time face of the same
 plan: it charges a block's validation *service time* as the makespan of
@@ -42,68 +43,13 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from repro.common import crypto
+from repro.common.env import DEFAULT_WORKERS, RunConfig, parse_executor_spec
 from repro.common.errors import ConfigError
 from repro.common.tracing import PERF
-
-ENV_VAR = "REPRO_EXECUTOR"
-ENV_WORKERS = "REPRO_EXECUTOR_WORKERS"
-
-#: Recognised backend kinds (the spec may carry an inline worker count,
-#: e.g. ``process:4``).
-EXECUTOR_KINDS = ("serial", "process")
-
-_DEFAULT_PROCESS_WORKERS = 4
-
-
-def _parse_spec(spec: str) -> tuple[str, Optional[int]]:
-    """Split ``"kind"`` / ``"kind:N"`` into ``(kind, workers-or-None)``."""
-    kind, _, arg = spec.partition(":")
-    if kind not in EXECUTOR_KINDS:
-        known = ", ".join(EXECUTOR_KINDS)
-        raise ConfigError(f"unknown executor kind {spec!r}: pick one of {known}")
-    workers: Optional[int] = None
-    if arg:
-        try:
-            workers = int(arg)
-        except ValueError:
-            raise ConfigError(f"invalid worker count in executor spec {spec!r}")
-        if workers < 1:
-            raise ConfigError(f"executor spec {spec!r} needs at least 1 worker")
-    return kind, workers
-
-
-def resolve_executor_kind(kind: Optional[str] = None) -> str:
-    """Resolve an executor spec: explicit over ``REPRO_EXECUTOR`` over serial."""
-    resolved = kind or os.environ.get(ENV_VAR) or "serial"
-    _parse_spec(resolved)  # validate eagerly, at configuration time
-    return resolved
-
-
-def resolve_worker_count(
-    workers: Optional[int] = None, spec: Optional[str] = None
-) -> int:
-    """Worker count: explicit over spec-inline over env over kind default."""
-    if workers is None:
-        kind, inline = _parse_spec(spec if spec is not None else resolve_executor_kind())
-        if inline is not None:
-            workers = inline
-        else:
-            env = os.environ.get(ENV_WORKERS)
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    raise ConfigError(f"invalid {ENV_WORKERS} value {env!r}")
-            else:
-                workers = _DEFAULT_PROCESS_WORKERS if kind == "process" else 1
-    if workers < 1:
-        raise ConfigError(f"executor worker count must be >= 1, got {workers}")
-    return workers
-
 
 # ---------------------------------------------------------------------------
 # Deterministic shard planning
@@ -185,16 +131,17 @@ def _init_worker() -> None:
     """Pool-worker initializer: pin the child to the serial reference.
 
     A forked child inherits the parent's module state — including the
-    active :class:`ProcessPoolBackend` and any ``REPRO_EXECUTOR`` env —
-    so without this a task could try to re-offload into a pool handle
-    that only works from the parent.
+    active :class:`ProcessPoolBackend` — so without this a task could try
+    to re-offload into a pool handle that only works from the parent.
+    The child's verify memo is switched off too: the parent screens its
+    own cache before sharding, so a memo here could only answer what the
+    parent was told to forget (``crypto.clear_caches`` never reaches a
+    worker).
     """
-    global _ACTIVE, _ACTIVE_SPEC, _PINNED
-    os.environ[ENV_VAR] = "serial"
-    os.environ.pop(ENV_WORKERS, None)
-    _PINNED = None
+    global _ACTIVE, _PINNED
+    _PINNED = SerialBackend()
     _ACTIVE = None
-    _ACTIVE_SPEC = None
+    crypto.set_verify_cache(False)
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -210,7 +157,7 @@ class ProcessPoolBackend(ExecutionBackend):
     kind = "process"
     remote = True
 
-    def __init__(self, workers: int = _DEFAULT_PROCESS_WORKERS) -> None:
+    def __init__(self, workers: int = DEFAULT_WORKERS["process"]) -> None:
         super().__init__(workers)
         self._pool = None
 
@@ -245,45 +192,38 @@ class ProcessPoolBackend(ExecutionBackend):
 
 _PINNED: Optional[ExecutionBackend] = None
 _ACTIVE: Optional[ExecutionBackend] = None
-_ACTIVE_SPEC: Optional[tuple] = None
 
 
-def _build(kind: str, workers: int) -> ExecutionBackend:
-    if kind == "process":
-        return ProcessPoolBackend(workers)
-    return SerialBackend(workers)
+def _build(spec: str, workers: Optional[int] = None) -> ExecutionBackend:
+    kind, spec_workers = parse_executor_spec(spec)
+    backend = ProcessPoolBackend if kind == "process" else SerialBackend
+    return backend(spec_workers if workers is None else workers)
 
 
 def current_backend() -> ExecutionBackend:
     """The backend hot call sites offload through.
 
     A pinned backend (:func:`set_backend`) wins; otherwise the
-    environment spec is re-resolved on every call — the toggle idiom the
-    benches rely on — and the cached instance is rebuilt (previous pool
-    shut down) whenever the resolved ``(kind, workers)`` changes.
+    ``REPRO_EXECUTOR`` spec is resolved once, on first use, and kept
+    until :func:`reset_backend`.
     """
+    global _ACTIVE
     if _PINNED is not None:
         return _PINNED
-    global _ACTIVE, _ACTIVE_SPEC
-    spec = resolve_executor_kind()
-    kind, _ = _parse_spec(spec)
-    workers = resolve_worker_count(spec=spec)
-    if _ACTIVE is None or _ACTIVE_SPEC != (kind, workers):
-        if _ACTIVE is not None:
-            _ACTIVE.shutdown()
-        _ACTIVE = _build(kind, workers)
-        _ACTIVE_SPEC = (kind, workers)
+    if _ACTIVE is None:
+        _ACTIVE = _build(RunConfig.from_env().executor)
     return _ACTIVE
 
 
 def set_backend(
     kind: Optional[str] = None, workers: Optional[int] = None
 ) -> ExecutionBackend:
-    """Pin the active backend explicitly (pass ``None`` to unpin).
+    """Pin the active backend to spec ``kind`` (pass ``None`` to unpin).
 
-    Pinning bypasses the environment entirely — ``SimulationConfig``
-    pins via the spec it recorded so a replayed trace reproduces the
-    original run's executor even under a different environment.
+    ``workers`` overrides the spec's worker count.  A network pins the
+    executor its :class:`~repro.common.env.RunConfig` names when it
+    attaches a runtime, so a replayed trace runs the executor the
+    original run recorded.
     """
     global _PINNED
     if _PINNED is not None:
@@ -291,21 +231,18 @@ def set_backend(
         _PINNED = None
     if kind is None:
         return current_backend()
-    spec = resolve_executor_kind(kind)
-    parsed_kind, _ = _parse_spec(spec)
-    _PINNED = _build(parsed_kind, resolve_worker_count(workers, spec=spec))
+    _PINNED = _build(kind, workers)
     return _PINNED
 
 
 def reset_backend() -> None:
     """Unpin and drop the cached backend (test/bench isolation hook)."""
-    global _PINNED, _ACTIVE, _ACTIVE_SPEC
+    global _PINNED, _ACTIVE
     for backend in (_PINNED, _ACTIVE):
         if backend is not None:
             backend.shutdown()
     _PINNED = None
     _ACTIVE = None
-    _ACTIVE_SPEC = None
 
 
 @atexit.register
@@ -329,8 +266,8 @@ class ValidationCostModel:
     the *same* plan the executor uses for real offload, so the model
     charges exactly the parallelism that actually executed.  ``workers``
     of ``None`` follows :func:`current_backend`, which is how the
-    workers-vs-throughput ablation varies parallelism from the
-    environment.
+    workers-vs-throughput ablation varies parallelism with the pinned
+    executor.
 
     Defaults are calibrated against the measured serial cost of the
     batched verifier on this codebase's 1536-bit group (~1 simulated

@@ -33,7 +33,6 @@ The synchronous API stays available: with a runtime attached,
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
@@ -61,23 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Simulated time the orderer waits before cutting an under-filled batch.
 DEFAULT_BATCH_TIMEOUT = 10.0
-
-#: Environment override for the submit-pipeline mempool bound.
-ENV_MEMPOOL_LIMIT = "REPRO_MEMPOOL_LIMIT"
-
-
-def resolve_mempool_limit(limit: Optional[int] = None) -> Optional[int]:
-    """Mempool bound: explicit over ``REPRO_MEMPOOL_LIMIT`` over unbounded."""
-    if limit is None:
-        env = os.environ.get(ENV_MEMPOOL_LIMIT)
-        if env:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise ConfigError(f"invalid {ENV_MEMPOOL_LIMIT} value {env!r}")
-    if limit is not None and limit < 1:
-        raise ConfigError(f"mempool limit must be >= 1, got {limit}")
-    return limit
 
 TOPIC_SUBMIT = "submit"
 TOPIC_DELIVER = "deliver-block"
@@ -194,7 +176,9 @@ class TransactionRuntime:
         self.bus = MessageBus(self.scheduler, latency=latency, faults=faults)
         self.batch_timeout = batch_timeout
         #: Max transactions in flight; ``None`` keeps the pipeline open-loop.
-        self.mempool_limit = resolve_mempool_limit(mempool_limit)
+        if mempool_limit is not None and mempool_limit < 1:
+            raise ConfigError(f"mempool limit must be >= 1, got {mempool_limit}")
+        self.mempool_limit = mempool_limit
         #: Submissions refused by the mempool bound.
         self.mempool_rejections = 0
         #: Optional simulated-time model charging each block's validation
@@ -254,7 +238,7 @@ class TransactionRuntime:
         #: Digest-driven anti-entropy loop; ``None`` when the network's
         #: cadence is 0 (the on-demand reconciler remains available).
         self.anti_entropy: Optional[AntiEntropyEngine] = None
-        every = getattr(network, "anti_entropy_every", 0.0)
+        every = network.run.anti_entropy_every
         if every:
             self.anti_entropy = AntiEntropyEngine(self, every)
             self.anti_entropy.arm()
@@ -296,7 +280,7 @@ class TransactionRuntime:
         one (or with snapshots off) it falls back to full replay via
         :meth:`register_peer`, which requires the backlog to be unpruned.
         """
-        if self.network.snapshot_every:
+        if self.network.run.snapshot_every:
             package = self.network.gossip.fetch_snapshot(
                 peer, min_height=self.network.orderer.backlog_offset
             )
@@ -728,7 +712,7 @@ class TransactionRuntime:
         cursor.  Only peers created *after* pruning — fresh joiners — ever
         need the snapshot-bootstrap path.
         """
-        if not self.network.prune_enabled or not self._peers:
+        if not self.network.run.prune or not self._peers:
             return
         floor = min(self._sealed_heights.get(name, 0) for name in self._peers)
         self.network.orderer.prune_delivered(floor)

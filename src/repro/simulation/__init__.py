@@ -17,7 +17,8 @@ FoundationDB-style testing loop over the seeded event runtime of
   PDC privacy, endorsement-policy soundness, gossip convergence,
   liveness accounting);
 * :mod:`~repro.simulation.harness` — builds the network from a config,
-  executes a (workload, fault schedule) pair and reports violations;
+  executes a (workload, fault schedule) pair and reports violations, and
+  runs one triple under two run configs (``run_differential``);
 * :mod:`~repro.simulation.shrink` — greedy ddmin shrinking of a failing
   run down to a minimal trace, rendered as a standalone repro script.
 
@@ -29,13 +30,13 @@ complete bug report.
 from repro.simulation.config import SimulationConfig
 from repro.simulation.faultplan import FaultAction, generate_fault_schedule
 from repro.simulation.harness import (
-    EquivalenceReport,
+    DifferentialReport,
     SimulationReport,
     build_network,
     compare_reports,
     execute,
     generate,
-    run_parallel_equivalence,
+    run_differential,
     run_seed,
 )
 from repro.simulation.invariants import RecoveryMonitor, Violation
@@ -43,10 +44,10 @@ from repro.simulation.shrink import ShrinkResult, render_repro_script, shrink_fa
 from repro.simulation.workload import OpSpec, WorkloadGenerator
 
 __all__ = [
-    "EquivalenceReport",
+    "DifferentialReport",
     "SimulationConfig",
     "compare_reports",
-    "run_parallel_equivalence",
+    "run_differential",
     "FaultAction",
     "generate_fault_schedule",
     "OpSpec",

@@ -12,14 +12,18 @@ can be replayed from a file by a process that never saw the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
-from repro.gossip.dissemination import resolve_anti_entropy_every, resolve_gossip_batch
-from repro.ledger.snapshot import resolve_prune, resolve_snapshot_every
-from repro.orderer.reorder import resolve_reorder
-from repro.runtime.executor import resolve_executor_kind
-from repro.storage import resolve_backend_kind
+from repro.common.env import RunConfig
+
+#: The run switches a config records, each under its :class:`RunConfig`
+#: name.  They change where or how the pipeline does its work, never the
+#: seed's randomness, so they are copied from a ``RunConfig`` rather than
+#: drawn; the equivalence invariants (parallel, snapshot, reorder
+#: soundness, gossip) bound what each may change.
+RUN_FIELDS = ("state_backend", "executor", "snapshot_every", "prune", "reorder",
+              "gossip_batch", "anti_entropy_every")
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,6 @@ class SimulationConfig:
     plan_rate: float = 0.0  # fraction of ops submitted via endorsement plans
     state_backend: str = "memory"  # peer-ledger storage engine: memory | wal
     executor: str = "serial"  # execution backend spec: serial | process[:N]
-    extra: dict = field(default_factory=dict)  # forward-compat escape hatch
     # -- the tpcc workload family (defaults keep mixed-workload wire data
     # and older traces loading unchanged) ------------------------------------
     workload: str = "mixed"  # workload family: mixed | tpcc
@@ -60,19 +63,11 @@ class SimulationConfig:
     bursts: tuple = ()  # ((start, end, rate multiplier), ...) burst windows
     retry_budget: int = 0  # admission/retry policy budget per logical tx
     mempool_limit: int = 0  # submit-pipeline bound; 0 = unbounded
-    # -- snapshot checkpointing (environment decisions like the storage
-    # backend: REPRO_SNAPSHOT_EVERY / REPRO_PRUNE or --snapshot-every /
-    # --prune; 0 / False keep the un-snapshotted reference behaviour) -------
+    # -- recorded run switches beyond the two above (see RUN_FIELDS; the
+    # defaults keep the reference behaviour) ---------------------------------
     snapshot_every: int = 0  # blocks between snapshot manifests; 0 = off
     prune: bool = False  # archive pre-snapshot blocks once sealed
-    # -- conflict-aware ordering (an environment decision like the above:
-    # REPRO_REORDER or --reorder; False keeps the arrival-order reference
-    # behaviour) ------------------------------------------------------------
     reorder: bool = False  # reorder batches + early-abort doomed txs
-    # -- the gossip fast path (environment decisions like the above:
-    # REPRO_GOSSIP_BATCH / REPRO_ANTI_ENTROPY_EVERY or --gossip-batch /
-    # --anti-entropy-every; off keeps the per-push reference behaviour
-    # and on-demand-only reconciliation) -------------------------------------
     gossip_batch: bool = False  # coalesce one endorsement's pushes per target
     anti_entropy_every: float = 0.0  # digest-loop cadence (sim s); 0 = off
     # -- peer validation service time: simulated seconds charged per block
@@ -97,7 +92,18 @@ class SimulationConfig:
         """Approximate simulated time span of the workload."""
         return max(10.0, self.ops * self.mean_gap)
 
+    def run_config(self, **overrides) -> RunConfig:
+        """The recorded switches over the environment's other ones."""
+        recorded = {name: getattr(self, name) for name in RUN_FIELDS}
+        return RunConfig.from_env(**{**recorded, **overrides})
+
     # -- generation ----------------------------------------------------------
+    @staticmethod
+    def _recorded() -> dict:
+        """The environment's recorded run switches (never seed draws)."""
+        run = RunConfig.from_env()
+        return {name: getattr(run, name) for name in RUN_FIELDS}
+
     @classmethod
     def generate(cls, seed: int, ops: int) -> "SimulationConfig":
         """Expand ``seed`` into a randomly shaped deployment."""
@@ -160,29 +166,7 @@ class SimulationConfig:
             # How much of the workload exercises the plan-based endorsement
             # path (drawn last so older seeds keep their earlier draws).
             plan_rate=round(rng.uniform(0.0, 0.8), 3),
-            # Not drawn from the rng: the engine changes durability, never
-            # behaviour, so it is an environment decision (REPRO_STATE_BACKEND
-            # or --backend), not part of the seed's randomness.
-            state_backend=resolve_backend_kind(),
-            # Likewise not drawn: the execution backend changes where pure
-            # CPU work runs, never what it computes (the parallel-equivalence
-            # invariant enforces exactly that), so it is an environment
-            # decision (REPRO_EXECUTOR or --executor) recorded for replay.
-            executor=resolve_executor_kind(),
-            # Snapshot cadence and pruning are environment decisions too:
-            # a checkpointed run must commit the same history as the
-            # reference (the snapshot-equivalence invariant enforces it).
-            snapshot_every=resolve_snapshot_every(),
-            prune=resolve_prune(),
-            # Conflict-aware ordering is an environment decision too: it
-            # must only drop provably doomed transactions (the
-            # reorder-soundness invariant enforces it).
-            reorder=resolve_reorder(),
-            # The gossip fast path is an environment decision as well: the
-            # gossip-equivalence invariant pins batched dissemination to
-            # the reference path's byte-identical private state.
-            gossip_batch=resolve_gossip_batch(),
-            anti_entropy_every=resolve_anti_entropy_every(),
+            **cls._recorded(),
         )
 
     @staticmethod
@@ -242,8 +226,6 @@ class SimulationConfig:
             mean_gap=round(1.0 / arrival_rate, 6),
             colluding_orgs=(),
             plan_rate=0.0,
-            state_backend=resolve_backend_kind(),
-            executor=resolve_executor_kind(),
             workload="tpcc",
             warehouses=rng.randint(1, 3),
             districts_per_warehouse=rng.randint(1, 2),
@@ -251,11 +233,7 @@ class SimulationConfig:
             bursts=bursts,
             retry_budget=rng.randint(1, 3),
             mempool_limit=rng.choice([0, 8, 16]),
-            snapshot_every=resolve_snapshot_every(),
-            prune=resolve_prune(),
-            reorder=resolve_reorder(),
-            gossip_batch=resolve_gossip_batch(),
-            anti_entropy_every=resolve_anti_entropy_every(),
+            **cls._recorded(),
         )
 
     @classmethod
@@ -278,6 +256,7 @@ class SimulationConfig:
     @classmethod
     def from_wire(cls, data: dict) -> "SimulationConfig":
         data = dict(data)
+        data.pop("extra", None)  # retired field of older traces
         for key in ("pdc1_members", "pdc2_members", "colluding_orgs"):
             data[key] = tuple(data.get(key, ()))
         data["bursts"] = tuple(

@@ -10,7 +10,6 @@ what seed replay and trace shrinking rely on.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -27,7 +26,6 @@ from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
-from repro.runtime import executor as executor_mod
 from repro.runtime.executor import ValidationCostModel
 from repro.runtime.faults import FaultInjector, LatencyModel
 from repro.runtime.runtime import GOSSIP_TOPICS
@@ -177,12 +175,11 @@ def build_network(config: SimulationConfig) -> SimNetwork:
         channel=channel,
         features=features,
         batch_size=config.batch_size,
-        state_backend=config.state_backend,
-        snapshot_every=config.snapshot_every,
-        prune=config.prune,
-        reorder=config.reorder,
-        gossip_batch=config.gossip_batch,
-        anti_entropy_every=config.anti_entropy_every,
+        # Whether an op endorses through a plan is recorded per spec
+        # (``use_plan``), so replay must not depend on the ambient
+        # ``endorse_plan`` switch; the recorded switches (executor
+        # included) come from the config, the rest from the environment.
+        run=config.run_config(endorse_plan=True),
     )
 
     peers: dict = {}
@@ -278,37 +275,6 @@ def execute(
     weaken: Optional[str] = None,
 ) -> SimulationReport:
     """Run one (config, ops, faults) triple and check every invariant."""
-    # Whether an op endorses through a plan is recorded per spec
-    # (``use_plan``), so replay must not depend on the ambient
-    # ``REPRO_ENDORSE_PLAN`` kill switch: pin it on for the run.  (The
-    # state backend, by contrast, changes durability but never behaviour,
-    # which is why it *is* an environment decision.)  The execution
-    # backend is pinned to what the config recorded so a replayed trace
-    # runs the same mechanism the original did — the parallel-equivalence
-    # invariant is what guarantees the *results* never depend on it.
-    saved_plan = os.environ.get("REPRO_ENDORSE_PLAN")
-    saved_executor = os.environ.get(executor_mod.ENV_VAR)
-    os.environ["REPRO_ENDORSE_PLAN"] = "1"
-    os.environ[executor_mod.ENV_VAR] = config.executor
-    try:
-        return _execute(config, ops, fault_actions, weaken)
-    finally:
-        if saved_plan is None:
-            os.environ.pop("REPRO_ENDORSE_PLAN", None)
-        else:
-            os.environ["REPRO_ENDORSE_PLAN"] = saved_plan
-        if saved_executor is None:
-            os.environ.pop(executor_mod.ENV_VAR, None)
-        else:
-            os.environ[executor_mod.ENV_VAR] = saved_executor
-
-
-def _execute(
-    config: SimulationConfig,
-    ops: list,
-    fault_actions: list,
-    weaken: Optional[str] = None,
-) -> SimulationReport:
     sim = build_network(config)
     runtime = sim.network.runtime
     assert runtime is not None
@@ -579,92 +545,98 @@ def run_seed(
 
 
 # ---------------------------------------------------------------------------
-# The parallel-equivalence invariant
+# Differential runs: one triple, two run configs, byte-identical histories
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EquivalenceReport:
-    """One seed executed on the serial reference and a parallel backend."""
+#: Fault kinds whose runtime effect draws from the scheduler's RNG *per
+#: message*.  Legs with different gossip modes send different message
+#: counts by design, so any per-message draw would desynchronize the
+#: shared RNG stream and every later jittered/iid-dropped event with it —
+#: a schedule divergence that has nothing to do with gossip semantics.
+#: Deterministic faults (cut links, dead topics, crash windows) stay.
+_RNG_FAULT_KINDS = ("topic_rate", "drop_rate", "jitter")
 
-    config: SimulationConfig
+
+@dataclass
+class DifferentialReport:
+    """One seed executed under a base config and under a variant of it."""
+
+    config: SimulationConfig  # the base leg's config
+    variant: dict  # the recorded run switches the candidate leg changes
     ops: list
     fault_actions: list
     reference: SimulationReport
-    parallel: SimulationReport
+    candidate: SimulationReport
     violations: list  # equivalence violations only
 
     @property
     def ok(self) -> bool:
         """Equivalent *and* both runs individually clean."""
-        return not self.violations and self.reference.ok and self.parallel.ok
+        return not self.violations and self.reference.ok and self.candidate.ok
 
     def summary(self) -> str:
         verdict = "equivalent" if self.ok else (
             f"{len(self.violations)} EQUIVALENCE VIOLATIONS"
             if self.violations else "runs not clean"
         )
+        variant = ",".join(f"{k}={v}" for k, v in sorted(self.variant.items()))
         return (
             f"seed={self.config.seed} ops={len(self.ops)} "
-            f"serial={self.reference.stats.get('state_digest', '')[:12]} "
-            f"{self.parallel.config.executor}="
-            f"{self.parallel.stats.get('state_digest', '')[:12]} -> {verdict}"
+            f"base={self.reference.stats.get('state_digest', '')[:12]} "
+            f"[{variant}]={self.candidate.stats.get('state_digest', '')[:12]} "
+            f"-> {verdict}"
         )
 
 
 def compare_reports(
     reference: SimulationReport,
-    parallel: SimulationReport,
-    invariant: str = "parallel-equivalence",
+    candidate: SimulationReport,
+    compare_packaging: bool = True,
 ) -> list:
-    """Byte-level comparison of two executions of the same triple."""
+    """Byte-level comparison of two executions of the same triple.
+
+    ``compare_packaging=False`` drops the gossip wire accounting (payload
+    and byte counts), which differs by design between gossip modes; the
+    per-record push count and the anti-entropy repair work must still
+    agree — same records pushed, same gaps pulled.
+    """
+    invariant = "differential"
     violations = []
     ref_digest = reference.stats.get("state_digest", "")
-    par_digest = parallel.stats.get("state_digest", "")
-    if ref_digest != par_digest:
+    cand_digest = candidate.stats.get("state_digest", "")
+    if ref_digest != cand_digest:
         violations.append(Violation(
             invariant,
-            f"state digest diverges: {reference.config.executor}="
-            f"{ref_digest[:16]} vs {parallel.config.executor}={par_digest[:16]}",
-        ))
-    if reference.stats.get("blocks") != parallel.stats.get("blocks"):
-        violations.append(Violation(
-            invariant,
-            f"block count diverges: {reference.stats.get('blocks')} vs "
-            f"{parallel.stats.get('blocks')}",
+            f"state digest diverges: {ref_digest[:16]} vs {cand_digest[:16]}",
         ))
     # Contention accounting is derived from the committed history (and,
     # for early aborts, from the orderer pipeline that shaped it) — any
-    # divergence means the backends did not see the same conflicts.
-    # Gossip-plane accounting joins the comparison with one carve-out:
-    # the two legs of the gossip-equivalence invariant differ in payload
-    # packaging *by design* (batched payloads and wire bytes), but the
-    # per-record push count and the anti-entropy repair work must still
-    # agree — same records pushed, same gaps pulled.
-    compared_stats = ("mvcc_within_block", "mvcc_cross_block", "early_aborts",
-                      "gossip_pushes", "gossip_digest_rounds",
+    # divergence means the legs did not see the same conflicts.
+    compared_stats = ("blocks", "mvcc_within_block", "mvcc_cross_block",
+                      "early_aborts", "gossip_pushes", "gossip_digest_rounds",
                       "gossip_reconcile_pulls")
-    if invariant != "gossip-equivalence":
+    if compare_packaging:
         compared_stats += ("gossip_payloads", "gossip_bytes")
     for stat in compared_stats:
-        if reference.stats.get(stat) != parallel.stats.get(stat):
+        if reference.stats.get(stat) != candidate.stats.get(stat):
             violations.append(Violation(
                 invariant,
                 f"{stat} diverges: {reference.stats.get(stat)} vs "
-                f"{parallel.stats.get(stat)}",
+                f"{candidate.stats.get(stat)}",
             ))
     divergent = 0
-    for ref_out, par_out in zip(reference.outcomes, parallel.outcomes):
-        # Retry bookkeeping is part of the observable history: a backend
-        # that made an op retry more (or drop differently) diverged, even
-        # if the final status happens to agree.
+    for ref_out, cand_out in zip(reference.outcomes, candidate.outcomes):
+        # Retry bookkeeping is part of the observable history: a leg that
+        # made an op retry more (or drop differently) diverged, even if
+        # the final status happens to agree.
         if (
             ref_out.tx_id, ref_out.status, ref_out.error,
             ref_out.attempts, ref_out.retries, ref_out.drops,
             ref_out.attempt_tx_ids,
         ) != (
-            par_out.tx_id, par_out.status, par_out.error,
-            par_out.attempts, par_out.retries, par_out.drops,
-            par_out.attempt_tx_ids,
+            cand_out.tx_id, cand_out.status, cand_out.error,
+            cand_out.attempts, cand_out.retries, cand_out.drops,
+            cand_out.attempt_tx_ids,
         ):
             divergent += 1
             if divergent <= 5:
@@ -672,7 +644,7 @@ def compare_reports(
                     invariant,
                     f"op {ref_out.spec.index} outcome diverges: "
                     f"{ref_out.status}/{ref_out.error!r} vs "
-                    f"{par_out.status}/{par_out.error!r}",
+                    f"{cand_out.status}/{cand_out.error!r}",
                     tx_id=ref_out.tx_id or "",
                 ))
     if divergent > 5:
@@ -682,148 +654,49 @@ def compare_reports(
     return violations
 
 
-def run_parallel_equivalence(
-    seed: int,
-    ops: int,
-    workers: int = 4,
+def run_differential(
+    config: SimulationConfig,
+    variant: dict,
     weaken: Optional[str] = None,
-    workload: str = "mixed",
-    snapshot_every: Optional[int] = None,
-    prune: Optional[bool] = None,
-    reorder: Optional[bool] = None,
-    gossip_batch: Optional[bool] = None,
-    anti_entropy_every: Optional[float] = None,
-) -> EquivalenceReport:
-    """Check the ``parallel-equivalence`` invariant for one seed.
+) -> DifferentialReport:
+    """Run one seed's triple under ``config`` and under ``variant`` of it.
 
     Generalizes the :class:`ReferenceValidator` pattern from the flag
-    level to the whole execution substrate: the same ``(config, ops,
-    faults)`` triple runs once on the byte-identical serial reference and
-    once on the ``process`` pool, and the two histories must agree on the
-    state digest (block chains + flags + world state + private stores),
-    block count, and every per-op outcome.  Any divergence is a
-    ``parallel-equivalence`` violation carrying both digests — proof that
-    offloading crypto to worker processes changed *where* work ran, never
-    what it computed.
+    level to whole runs: the same ``(config, ops, faults)`` triple runs
+    once as given and once with the recorded run switches in ``variant``
+    replaced (e.g. ``{"executor": "process:2"}`` or ``{"gossip_batch":
+    True}``), and the two histories must agree on the state digest
+    (block chains + flags + world state + private stores), block count,
+    contention and gossip accounting, and every per-op outcome.  A switch
+    that only changes *where* or *how* work runs passes; one that changes
+    history by design (``reorder``) is reported.
+
+    When the legs differ in gossip mode they differ in message count by
+    design, so jitter is forced to zero and the RNG-drawing fault kinds
+    are filtered from the schedule (both draw from the scheduler RNG once
+    per message, see :data:`_RNG_FAULT_KINDS`), and the gossip payload and
+    byte counts are not compared.  Everything else — deterministic
+    partitions, dead gossip topics, crash/restart windows, latency
+    asymmetries — applies to both legs identically.
     """
-    config = SimulationConfig.generate_workload(workload, seed, ops)
-    if snapshot_every is not None:
-        config = replace(config, snapshot_every=snapshot_every)
-    if prune is not None:
-        config = replace(config, prune=prune)
-    if reorder is not None:
-        config = replace(config, reorder=reorder)
-    if gossip_batch is not None:
-        config = replace(config, gossip_batch=gossip_batch)
-    if anti_entropy_every is not None:
-        config = replace(config, anti_entropy_every=anti_entropy_every)
-    ops_list, fault_actions = generate(config)
-    reference = execute(
-        replace(config, executor="serial"), ops_list, fault_actions, weaken=weaken
-    )
-    parallel = execute(
-        replace(config, executor=f"process:{workers}"),
-        ops_list, fault_actions, weaken=weaken,
-    )
-    return EquivalenceReport(
+    candidate_config = replace(config, **variant)
+    gossip_differs = config.gossip_batch != candidate_config.gossip_batch
+    if gossip_differs:
+        config = replace(config, jitter=0.0)
+        candidate_config = replace(candidate_config, jitter=0.0)
+    ops, fault_actions = generate(config)
+    if gossip_differs:
+        fault_actions = [a for a in fault_actions if a.kind not in _RNG_FAULT_KINDS]
+    reference = execute(config, ops, fault_actions, weaken=weaken)
+    candidate = execute(candidate_config, ops, fault_actions, weaken=weaken)
+    return DifferentialReport(
         config=config,
-        ops=ops_list,
+        variant=dict(variant),
+        ops=ops,
         fault_actions=fault_actions,
         reference=reference,
-        parallel=parallel,
-        violations=compare_reports(reference, parallel),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The gossip-equivalence invariant
-# ---------------------------------------------------------------------------
-
-#: Fault kinds whose runtime effect draws from the scheduler's RNG *per
-#: message*.  The two gossip-equivalence legs send different message
-#: counts by design, so any per-message draw would desynchronize the
-#: shared RNG stream and every later jittered/iid-dropped event with it —
-#: a schedule divergence that has nothing to do with gossip semantics.
-#: Deterministic faults (cut links, dead topics, crash windows) stay.
-_RNG_FAULT_KINDS = ("topic_rate", "drop_rate", "jitter")
-
-
-@dataclass
-class GossipEquivalenceReport:
-    """One seed executed on the reference and the batched gossip path."""
-
-    config: SimulationConfig
-    ops: list
-    fault_actions: list
-    reference: SimulationReport
-    batched: SimulationReport
-    violations: list  # equivalence violations only
-
-    @property
-    def ok(self) -> bool:
-        """Equivalent *and* both runs individually clean."""
-        return not self.violations and self.reference.ok and self.batched.ok
-
-    def summary(self) -> str:
-        verdict = "equivalent" if self.ok else (
-            f"{len(self.violations)} EQUIVALENCE VIOLATIONS"
-            if self.violations else "runs not clean"
-        )
-        return (
-            f"seed={self.config.seed} ops={len(self.ops)} "
-            f"reference={self.reference.stats.get('state_digest', '')[:12]} "
-            f"batched={self.batched.stats.get('state_digest', '')[:12]} "
-            f"payloads={self.batched.stats.get('gossip_payloads', 0)} "
-            f"vs pushes={self.reference.stats.get('gossip_pushes', 0)} "
-            f"-> {verdict}"
-        )
-
-
-def run_gossip_equivalence(
-    seed: int,
-    ops: int,
-    workload: str = "mixed",
-    anti_entropy_every: float = 4.0,
-) -> GossipEquivalenceReport:
-    """Check the ``gossip-equivalence`` invariant for one seed.
-
-    The same ``(config, ops, faults)`` triple runs twice — per-push
-    reference dissemination vs batched per-target payloads — with the
-    anti-entropy loop at the same cadence in both legs, and the two
-    histories must agree byte-for-byte: state digest (which covers every
-    peer's private plaintext, hashes and versions), block count, per-op
-    outcomes, and the mode-independent gossip accounting (records
-    pushed, digest rounds, pull repairs).
-
-    Jitter is forced to zero and RNG-drawing fault kinds are filtered
-    from the schedule (see :data:`_RNG_FAULT_KINDS`): both draw from the
-    scheduler RNG once per message, and the legs differ in message count
-    by design.  Everything else — deterministic partitions, dead gossip
-    topics, crash/restart windows, latency asymmetries — applies to both
-    legs identically.
-    """
-    config = SimulationConfig.generate_workload(workload, seed, ops)
-    config = replace(
-        config,
-        jitter=0.0,
-        gossip_batch=False,
-        anti_entropy_every=anti_entropy_every,
-    )
-    ops_list, fault_actions = generate(config)
-    fault_actions = [
-        action for action in fault_actions if action.kind not in _RNG_FAULT_KINDS
-    ]
-    reference = execute(config, ops_list, fault_actions)
-    batched = execute(
-        replace(config, gossip_batch=True), ops_list, fault_actions
-    )
-    return GossipEquivalenceReport(
-        config=config,
-        ops=ops_list,
-        fault_actions=fault_actions,
-        reference=reference,
-        batched=batched,
+        candidate=candidate,
         violations=compare_reports(
-            reference, batched, invariant="gossip-equivalence"
+            reference, candidate, compare_packaging=not gossip_differs
         ),
     )

@@ -2,8 +2,8 @@
 
 See :mod:`repro.storage.backend` for the interface contract,
 :mod:`repro.storage.memory` and :mod:`repro.storage.wal` for the two
-engines, and :mod:`repro.storage.factory` for selection
-(``REPRO_STATE_BACKEND=memory|wal``).
+engines, and :mod:`repro.storage.factory` for construction by kind (the
+``state_backend`` run switch, ``REPRO_STATE_BACKEND=memory|wal``).
 """
 
 from repro.storage.backend import (
@@ -19,12 +19,7 @@ from repro.storage.backend import (
     split_key,
     write_op,
 )
-from repro.storage.factory import (
-    BACKEND_KINDS,
-    ENV_VAR,
-    open_backend,
-    resolve_backend_kind,
-)
+from repro.storage.factory import BACKEND_KINDS, open_backend
 from repro.storage.memory import MemoryBackend
 from repro.storage.wal import WalBackend
 
@@ -43,7 +38,5 @@ __all__ = [
     "read_through",
     "write_op",
     "open_backend",
-    "resolve_backend_kind",
     "BACKEND_KINDS",
-    "ENV_VAR",
 ]

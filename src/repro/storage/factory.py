@@ -1,4 +1,4 @@
-"""Backend selection: explicit kind > ``REPRO_STATE_BACKEND`` > memory.
+"""Backend construction by kind (``memory`` or ``wal``).
 
 WAL backends opened without an explicit directory live under one
 process-wide temp root removed at interpreter exit, so test suites and
@@ -8,31 +8,17 @@ simulations can churn through wal-backed networks without littering.
 from __future__ import annotations
 
 import atexit
-import os
 import shutil
 import tempfile
 from pathlib import Path
 from typing import Optional
 
+from repro.common.env import BACKEND_KINDS
 from repro.storage.backend import KVBackend, StorageError
 from repro.storage.memory import MemoryBackend
 from repro.storage.wal import WalBackend
 
-ENV_VAR = "REPRO_STATE_BACKEND"
-BACKEND_KINDS = ("memory", "wal")
-
 _temp_root: Optional[Path] = None
-
-
-def resolve_backend_kind(kind: Optional[str] = None) -> str:
-    """Resolve a backend kind: argument, else env override, else memory."""
-    resolved = kind or os.environ.get(ENV_VAR) or "memory"
-    if resolved not in BACKEND_KINDS:
-        raise StorageError(
-            f"unknown state backend {resolved!r} (choose from {BACKEND_KINDS}; "
-            f"check the {ENV_VAR} environment variable)"
-        )
-    return resolved
 
 
 def storage_root() -> Path:
@@ -45,19 +31,20 @@ def storage_root() -> Path:
 
 
 def open_backend(
-    kind: Optional[str] = None,
+    kind: str = "memory",
     directory: Optional[str | Path] = None,
     name: Optional[str] = None,
 ) -> KVBackend:
-    """Open a backend of ``kind`` (resolved via :func:`resolve_backend_kind`).
+    """Open a backend of ``kind`` (one of :data:`BACKEND_KINDS`).
 
     For ``wal``, ``directory`` selects (or creates) the engine directory;
     ``name`` appends a subdirectory (one ledger per peer under a shared
     network directory).  Without a directory a fresh scratch directory is
     allocated under :func:`storage_root`.
     """
-    resolved = resolve_backend_kind(kind)
-    if resolved == "memory":
+    if kind not in BACKEND_KINDS:
+        raise StorageError(f"unknown state backend {kind!r} (choose from {BACKEND_KINDS})")
+    if kind == "memory":
         return MemoryBackend()
     if directory is None:
         directory = Path(tempfile.mkdtemp(prefix=f"{name or 'ledger'}-", dir=storage_root()))

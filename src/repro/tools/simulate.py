@@ -11,6 +11,11 @@ Examples::
     python -m repro.tools.simulate --seeds 5 --ops 100 \\
         --weaken skip-endorsement-policy --trace-dir /tmp/traces
     python -m repro.tools.simulate --replay /tmp/traces/trace-seed3.json
+    python -m repro.tools.simulate --seeds 6 --ops 120 --diff executor=process:2
+
+``--diff FIELD=VALUE`` runs each seed twice, as configured and with one
+recorded run switch changed, and fails on any byte-level divergence
+between the two histories (see :func:`~repro.simulation.harness.run_differential`).
 """
 
 from __future__ import annotations
@@ -22,15 +27,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro.runtime.executor import resolve_executor_kind
-from repro.simulation.config import SimulationConfig
+from repro.common.env import RunConfig, parse_value
+from repro.common.errors import ConfigError
+from repro.simulation.config import RUN_FIELDS, SimulationConfig
 from repro.storage import BACKEND_KINDS
 from repro.simulation.harness import (
     WEAKENERS,
     execute,
     generate,
-    run_gossip_equivalence,
-    run_parallel_equivalence,
+    run_differential,
 )
 from repro.simulation.shrink import (
     load_trace,
@@ -39,12 +44,28 @@ from repro.simulation.shrink import (
 )
 
 
-def _executor_spec(spec: str) -> str:
-    """argparse type: validate an executor spec eagerly."""
-    try:
-        return resolve_executor_kind(spec)
-    except Exception as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _switch(name: str):
+    """argparse type: a value of run switch ``name``, parsed and checked
+    exactly like its ``REPRO_*`` variable."""
+
+    def parse(raw: str):
+        try:
+            return getattr(RunConfig(**{name: parse_value(name, raw)}), name)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
+
+
+def _assignment(text: str) -> tuple:
+    """argparse type: ``FIELD=VALUE`` for one recorded run switch."""
+    name, sep, raw = text.partition("=")
+    if not sep or name not in RUN_FIELDS:
+        raise argparse.ArgumentTypeError(
+            f"expected FIELD=VALUE with FIELD one of {', '.join(RUN_FIELDS)}, "
+            f"got {text!r}"
+        )
+    return name, _switch(name)(raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,10 +94,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", choices=list(BACKEND_KINDS), default=None,
                         help="peer-ledger storage engine (default: the "
                              "REPRO_STATE_BACKEND env var, else memory)")
-    parser.add_argument("--executor", type=_executor_spec, default=None,
+    parser.add_argument("--executor", type=_switch("executor"), default=None,
                         help="execution backend spec, e.g. serial or process:4 "
                              "(default: the REPRO_EXECUTOR env var, else serial)")
-    parser.add_argument("--snapshot-every", type=int, default=None,
+    parser.add_argument("--snapshot-every", type=_switch("snapshot_every"),
+                        default=None,
                         help="peer snapshot checkpoint cadence in blocks; "
                              "enables the snapshot-equivalence invariant "
                              "(default: the REPRO_SNAPSHOT_EVERY env var, "
@@ -96,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
                              "endorsement's private rwsets into one payload "
                              "per target peer (default: the "
                              "REPRO_GOSSIP_BATCH env var, else off)")
-    parser.add_argument("--anti-entropy-every", type=float, default=None,
+    parser.add_argument("--anti-entropy-every", type=_switch("anti_entropy_every"),
+                        default=None,
                         help="digest-driven anti-entropy cadence in simulated "
                              "seconds; 0 disables the loop (default: the "
                              "REPRO_ANTI_ENTROPY_EVERY env var, else off)")
@@ -104,158 +127,109 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload family: the mixed asset/PDC mix, or the "
                              "contended TPC-C-style mix with open-loop arrivals "
                              "and the admission/retry policy (default mixed)")
-    parser.add_argument("--check-equivalence", action="store_true",
-                        help="run every seed twice — serial reference vs "
-                             "process pool — and fail on any byte-level "
-                             "divergence (the parallel-equivalence invariant)")
-    parser.add_argument("--equiv-workers", type=int, default=4,
-                        help="worker count for the parallel leg of "
-                             "--check-equivalence (default 4)")
-    parser.add_argument("--check-gossip-equivalence", action="store_true",
-                        help="run every seed twice — per-record reference "
-                             "dissemination vs the batched fast path, same "
-                             "anti-entropy cadence — and fail on any "
-                             "byte-level divergence (the gossip-equivalence "
-                             "invariant)")
+    parser.add_argument("--diff", type=_assignment, default=None,
+                        metavar="FIELD=VALUE",
+                        help="run every seed twice — as configured, and with "
+                             "run switch FIELD set to VALUE (parsed like its "
+                             "REPRO_* variable) — and fail on any byte-level "
+                             "divergence, e.g. executor=process:2, "
+                             "gossip_batch=1 or state_backend=wal")
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        return _replay(args.replay, args.weaken, args.backend, args.executor)
-
-    if args.check_equivalence:
-        return _check_equivalence(args)
-
-    if args.check_gossip_equivalence:
-        return _check_gossip_equivalence(args)
+        return _replay(args)
 
     failures = 0
     started = time.time()
     for seed in range(args.seed_base, args.seed_base + args.seeds):
         seed_started = time.time()
-        config = SimulationConfig.generate_workload(args.workload, seed, args.ops)
-        if args.backend is not None:
-            config = dataclasses.replace(config, state_backend=args.backend)
-        if args.executor is not None:
-            config = dataclasses.replace(config, executor=args.executor)
-        if args.snapshot_every is not None:
-            config = dataclasses.replace(config, snapshot_every=args.snapshot_every)
-        if args.prune:
-            config = dataclasses.replace(config, prune=True)
-        if args.reorder:
-            config = dataclasses.replace(config, reorder=True)
-        if args.gossip_batch:
-            config = dataclasses.replace(config, gossip_batch=True)
-        if args.anti_entropy_every is not None:
-            config = dataclasses.replace(
-                config, anti_entropy_every=args.anti_entropy_every)
-        ops, fault_actions = generate(config)
-        report = execute(config, ops, fault_actions, weaken=args.weaken)
-        print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
-        if report.ok:
-            continue
-        failures += 1
-        for violation in report.violations[:8]:
-            print(f"    {violation}")
-        if len(report.violations) > 8:
-            print(f"    ... and {len(report.violations) - 8} more")
-        if not args.no_shrink:
-            _shrink_and_dump(config, ops, fault_actions, args)
+        config = _apply_flags(
+            SimulationConfig.generate_workload(args.workload, seed, args.ops), args
+        )
+        if args.diff:
+            failures += _check_differential(config, dict([args.diff]), args, seed_started)
+        else:
+            failures += _check_seed(config, args, seed_started)
 
     elapsed = time.time() - started
-    print(f"{args.seeds} seeds, {failures} failing ({elapsed:.1f}s total)")
+    runs = " x2 runs" if args.diff else ""
+    print(f"{args.seeds} seeds{runs}, {failures} failing ({elapsed:.1f}s total)")
     return 1 if failures else 0
 
 
-def _check_equivalence(args) -> int:
-    """Sweep seeds through the parallel-equivalence invariant.
+def _apply_flags(config: SimulationConfig, args) -> SimulationConfig:
+    """``config`` with every recorded run switch the command line sets.
+
+    Sweep, ``--diff`` and ``--replay`` all build their configs here, so
+    each flag reaches every leg.
+    """
+    flags = {
+        "state_backend": args.backend,
+        "executor": args.executor,
+        "snapshot_every": args.snapshot_every,
+        "prune": args.prune or None,
+        "reorder": args.reorder or None,
+        "gossip_batch": args.gossip_batch or None,
+        "anti_entropy_every": args.anti_entropy_every,
+    }
+    return dataclasses.replace(
+        config, **{name: value for name, value in flags.items() if value is not None}
+    )
+
+
+def _out_dir(args) -> Path:
+    out_dir = args.trace_dir or Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _check_seed(config: SimulationConfig, args, seed_started: float) -> bool:
+    """Execute one seed; on failure print, shrink and dump it."""
+    ops, fault_actions = generate(config)
+    report = execute(config, ops, fault_actions, weaken=args.weaken)
+    print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
+    if report.ok:
+        return False
+    for violation in report.violations[:8]:
+        print(f"    {violation}")
+    if len(report.violations) > 8:
+        print(f"    ... and {len(report.violations) - 8} more")
+    if not args.no_shrink:
+        _shrink_and_dump(config, ops, fault_actions, args)
+    return True
+
+
+def _check_differential(
+    config: SimulationConfig, variant: dict, args, seed_started: float
+) -> bool:
+    """Run one seed through :func:`run_differential`.
 
     A failing seed dumps its (config, ops, faults) triple — replayable
-    with ``--replay`` under either executor — plus the equivalence
-    violations, as ``equivalence-seed{N}.json`` for artifact upload.
+    with ``--replay`` under either leg's switches — plus both digests and
+    the violations, as ``differential-seed{N}.json`` for artifact upload.
     """
-    failures = 0
-    started = time.time()
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        seed_started = time.time()
-        report = run_parallel_equivalence(
-            seed, args.ops, workers=args.equiv_workers, weaken=args.weaken,
-            workload=args.workload,
-            snapshot_every=args.snapshot_every,
-            prune=True if args.prune else None,
-            reorder=True if args.reorder else None,
-        )
-        print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
-        if report.ok:
-            continue
-        failures += 1
-        for violation in (
-            report.violations
-            + report.reference.violations[:4]
-            + report.parallel.violations[:4]
-        ):
-            print(f"    {violation}")
-        out_dir = args.trace_dir or Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / f"equivalence-seed{seed}.json"
-        trace_path.write_text(json.dumps({
-            "config": report.config.to_wire(),
-            "ops": [op.to_wire() for op in report.ops],
-            "faults": [action.to_wire() for action in report.fault_actions],
-            "violations": [str(v) for v in report.violations],
-            "serial_digest": report.reference.stats.get("state_digest"),
-            "parallel_digest": report.parallel.stats.get("state_digest"),
-            "parallel_executor": report.parallel.config.executor,
-        }, indent=1))
-        print(f"    trace: {trace_path}")
-    elapsed = time.time() - started
-    print(f"{args.seeds} seeds x2 runs, {failures} failing "
-          f"equivalence ({elapsed:.1f}s total)")
-    return 1 if failures else 0
-
-
-def _check_gossip_equivalence(args) -> int:
-    """Sweep seeds through the gossip-equivalence invariant.
-
-    A failing seed dumps its (config, ops, faults) triple plus both
-    digests and the violations as ``gossip-equivalence-seed{N}.json``
-    for artifact upload; the trace replays with ``--replay`` under
-    either dissemination mode.
-    """
-    every = args.anti_entropy_every if args.anti_entropy_every is not None else 4.0
-    failures = 0
-    started = time.time()
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        seed_started = time.time()
-        report = run_gossip_equivalence(
-            seed, args.ops, workload=args.workload, anti_entropy_every=every,
-        )
-        print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
-        if report.ok:
-            continue
-        failures += 1
-        for violation in (
-            report.violations
-            + report.reference.violations[:4]
-            + report.batched.violations[:4]
-        ):
-            print(f"    {violation}")
-        out_dir = args.trace_dir or Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / f"gossip-equivalence-seed{seed}.json"
-        trace_path.write_text(json.dumps({
-            "config": report.config.to_wire(),
-            "ops": [op.to_wire() for op in report.ops],
-            "faults": [action.to_wire() for action in report.fault_actions],
-            "violations": [str(v) for v in report.violations],
-            "reference_digest": report.reference.stats.get("state_digest"),
-            "batched_digest": report.batched.stats.get("state_digest"),
-            "anti_entropy_every": every,
-        }, indent=1))
-        print(f"    trace: {trace_path}")
-    elapsed = time.time() - started
-    print(f"{args.seeds} seeds x2 runs, {failures} failing "
-          f"gossip-equivalence ({elapsed:.1f}s total)")
-    return 1 if failures else 0
+    report = run_differential(config, variant, weaken=args.weaken)
+    print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
+    if report.ok:
+        return False
+    for violation in (
+        report.violations
+        + report.reference.violations[:4]
+        + report.candidate.violations[:4]
+    ):
+        print(f"    {violation}")
+    trace_path = _out_dir(args) / f"differential-seed{config.seed}.json"
+    trace_path.write_text(json.dumps({
+        "config": report.config.to_wire(),
+        "variant": report.variant,
+        "ops": [op.to_wire() for op in report.ops],
+        "faults": [action.to_wire() for action in report.fault_actions],
+        "violations": [str(v) for v in report.violations],
+        "reference_digest": report.reference.stats.get("state_digest"),
+        "candidate_digest": report.candidate.stats.get("state_digest"),
+    }, indent=1))
+    print(f"    trace: {trace_path}")
+    return True
 
 
 def _shrink_and_dump(config, ops, fault_actions, args) -> None:
@@ -275,8 +249,7 @@ def _shrink_and_dump(config, ops, fault_actions, args) -> None:
         target = action.topic or f"{action.src}->{action.dst}"
         print(f"      fault @{action.at}: {action.kind} {target}")
 
-    out_dir = args.trace_dir or Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     trace_path = out_dir / f"trace-seed{config.seed}.json"
     trace_path.write_text(json.dumps(result.to_trace(), indent=1))
     script_path = out_dir / f"repro-seed{config.seed}.py"
@@ -284,18 +257,9 @@ def _shrink_and_dump(config, ops, fault_actions, args) -> None:
     print(f"    trace: {trace_path}  repro script: {script_path}")
 
 
-def _replay(
-    path: Path,
-    weaken: str | None,
-    backend: str | None = None,
-    executor: str | None = None,
-) -> int:
-    config, ops, fault_actions = load_trace(json.loads(path.read_text()))
-    if backend is not None:
-        config = dataclasses.replace(config, state_backend=backend)
-    if executor is not None:
-        config = dataclasses.replace(config, executor=executor)
-    report = execute(config, ops, fault_actions, weaken=weaken)
+def _replay(args) -> int:
+    config, ops, fault_actions = load_trace(json.loads(args.replay.read_text()))
+    report = execute(_apply_flags(config, args), ops, fault_actions, weaken=args.weaken)
     print(report.summary())
     for violation in report.violations:
         print(f"    {violation}")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import errors
+from repro.common.env import RunConfig, env_var
+from repro.common.errors import ConfigError
 from repro.common.hashing import chain_hash, hash_key, hash_value, sha256, sha256_hex
 
 
@@ -96,17 +101,8 @@ class TestErrorHierarchy:
             raise errors.GossipError("x")
 
 
-# Every boolean REPRO_* switch read after import:
-# (variable, module, resolver, default).
-ENV_RESOLVERS = [
-    ("REPRO_SHARED_VSCC", "repro.peer.validator", "shared_vscc_enabled", True),
-    ("REPRO_BATCH_VERIFY", "repro.peer.validator", "batch_verify_enabled", True),
-    ("REPRO_ENDORSE_CACHE", "repro.peer.endorser", "endorse_cache_enabled", True),
-    ("REPRO_ENDORSE_PLAN", "repro.client.gateway", "endorse_plan_enabled", True),
-    ("REPRO_REORDER", "repro.orderer.reorder", "resolve_reorder", False),
-    ("REPRO_GOSSIP_BATCH", "repro.gossip.dissemination", "resolve_gossip_batch", False),
-    ("REPRO_PRUNE", "repro.ledger.snapshot", "resolve_prune", False),
-]
+#: Every boolean :class:`RunConfig` field and its default.
+BOOL_FIELDS = [(f.name, f.default) for f in fields(RunConfig) if f.type == "bool"]
 
 # (raw value or None for unset, expected value or None for the default).
 ENV_SPELLINGS = [
@@ -118,17 +114,53 @@ ENV_SPELLINGS = [
 
 
 class TestEnvFlag:
+    def test_one_variable_per_field(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert len(names) == 11
+        assert env_var("gossip_batch") == "REPRO_GOSSIP_BATCH"
+        assert len(BOOL_FIELDS) == 7
+
     @pytest.mark.parametrize("raw,expected", ENV_SPELLINGS)
-    @pytest.mark.parametrize("variable,module,name,default", ENV_RESOLVERS)
-    def test_every_resolver_parses_alike(
-        self, monkeypatch, variable, module, name, default, raw, expected
+    @pytest.mark.parametrize("name,default", BOOL_FIELDS)
+    def test_every_boolean_field_parses_alike(
+        self, monkeypatch, name, default, raw, expected
     ):
-        resolver = getattr(importlib.import_module(module), name)
         if raw is None:
-            monkeypatch.delenv(variable, raising=False)
+            monkeypatch.delenv(env_var(name), raising=False)
         else:
-            monkeypatch.setenv(variable, raw)
-        assert resolver() is (default if expected is None else expected)
+            monkeypatch.setenv(env_var(name), raw)
+        want = default if expected is None else expected
+        assert getattr(RunConfig.from_env(), name) is want
+
+    def test_numeric_and_spec_fields(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STATE_BACKEND", "wal")
+        monkeypatch.setenv("REPRO_EXECUTOR", " process:2 ")
+        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "12")
+        monkeypatch.setenv("REPRO_ANTI_ENTROPY_EVERY", "2.5")
+        run = RunConfig.from_env()
+        assert (run.state_backend, run.executor) == ("wal", "process:2")
+        assert (run.snapshot_every, run.anti_entropy_every) == (12, 2.5)
+
+    def test_overrides_beat_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_REORDER", "1")
+        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "7")
+        run = RunConfig.from_env(reorder=False, snapshot_every=3)
+        assert run.reorder is False and run.snapshot_every == 3
+
+    @pytest.mark.parametrize("name,raw,message", [
+        ("state_backend", "bogus", "unknown state backend 'bogus'"),
+        ("executor", "thread", "unknown executor kind 'thread'"),
+        ("executor", "process:x", "invalid worker count"),
+        ("executor", "process:0", "needs at least 1 worker"),
+        ("snapshot_every", "often", "REPRO_SNAPSHOT_EVERY='often' is not an integer"),
+        ("snapshot_every", "-1", "snapshot interval must be >= 0"),
+        ("anti_entropy_every", "soon", "must be a number of simulated seconds"),
+        ("anti_entropy_every", "-2", "anti-entropy cadence must be >= 0"),
+    ])
+    def test_bad_values_raise_config_error(self, monkeypatch, name, raw, message):
+        monkeypatch.setenv(env_var(name), raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_env()
 
     @pytest.mark.parametrize("raw,expected", ENV_SPELLINGS)
     def test_crypto_switches_frozen_at_import(self, raw, expected):
@@ -147,3 +179,41 @@ class TestEnvFlag:
         )
         want = str(True if expected is None else expected)
         assert result.stdout.split() == [want, want]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _sources() -> dict:
+    return {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+
+
+class TestRunSwitchGuards:
+    """Run switches are resolved in one place and handed down as values."""
+
+    def test_environment_read_only_by_the_env_module(self):
+        readers = sorted(
+            path for path, text in _sources().items()
+            if "os.environ" in text or "getenv" in text
+        )
+        assert readers == ["common/env.py"]
+
+    def test_env_flag_called_only_for_the_crypto_switches(self):
+        calls = set()
+        for path, text in _sources().items():
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                ) == "env_flag":
+                    calls.add((path, node.args[0].value))
+        assert calls == {
+            ("common/crypto.py", "REPRO_CRYPTO_FAST"),
+            ("common/crypto.py", "REPRO_VERIFY_CACHE"),
+        }
+
+    def test_no_parameter_defers_to_the_environment(self):
+        deferring = re.compile(r"None\s*(?:->|→|=)\s*consult|consult\s+REPRO_", re.I)
+        offenders = sorted(
+            path for path, text in _sources().items() if deferring.search(text)
+        )
+        assert offenders == []

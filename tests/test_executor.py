@@ -1,6 +1,6 @@
 """Tests for the pluggable execution backends.
 
-Covers the spec/worker resolution chain, the deterministic LPT shard
+Covers spec parsing and resolution, the deterministic LPT shard
 planner, both backends' ordered ``map``, the pin/unpin registry, the
 cost model, and — the load-bearing property — byte-identity of sharded
 ``verify_batch`` / offloaded signing against the serial reference.
@@ -14,35 +14,33 @@ import pytest
 
 from repro.common import crypto
 from repro.common.crypto import generate_keypair, verify_batch
+from repro.common.env import RunConfig, parse_executor_spec
 from repro.common.errors import ConfigError
 from repro.common.tracing import PERF
 from repro.runtime.executor import (
-    ENV_VAR,
-    ENV_WORKERS,
     ProcessPoolBackend,
     SerialBackend,
     ValidationCostModel,
     current_backend,
     plan_shards,
     reset_backend,
-    resolve_executor_kind,
-    resolve_worker_count,
     set_backend,
     shard_makespan,
 )
 
+ENV_VAR = "REPRO_EXECUTOR"
+
 
 @pytest.fixture(autouse=True)
 def _clean_executor_env():
-    saved = {k: os.environ.pop(k, None) for k in (ENV_VAR, ENV_WORKERS)}
+    saved = os.environ.pop(ENV_VAR, None)
     reset_backend()
     crypto.clear_verify_cache()
     yield
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
+    if saved is None:
+        os.environ.pop(ENV_VAR, None)
+    else:
+        os.environ[ENV_VAR] = saved
     reset_backend()
     crypto.clear_verify_cache()
 
@@ -53,39 +51,38 @@ def _clean_executor_env():
 
 class TestResolution:
     def test_default_is_serial(self):
-        assert resolve_executor_kind() == "serial"
+        assert RunConfig.from_env().executor == "serial"
 
     def test_env_over_default(self):
         os.environ[ENV_VAR] = "process:3"
-        assert resolve_executor_kind() == "process:3"
+        assert RunConfig.from_env().executor == "process:3"
 
     def test_explicit_over_env(self):
         os.environ[ENV_VAR] = "process"
-        assert resolve_executor_kind("serial") == "serial"
+        assert RunConfig.from_env(executor="serial").executor == "serial"
 
     @pytest.mark.parametrize("bad", ["thread", "process:x", "process:0", "pool:2"])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ConfigError):
-            resolve_executor_kind(bad)
+            parse_executor_spec(bad)
+        with pytest.raises(ConfigError):
+            RunConfig(executor=bad)
+        os.environ[ENV_VAR] = bad
+        with pytest.raises(ConfigError):
+            RunConfig.from_env()
 
     def test_worker_count_precedence(self):
         # kind default: serial -> 1, process -> 4
-        assert resolve_worker_count(spec="serial") == 1
-        assert resolve_worker_count(spec="process") == 4
-        # env beats the kind default
-        os.environ[ENV_WORKERS] = "6"
-        assert resolve_worker_count(spec="process") == 6
-        # spec-inline beats env
-        assert resolve_worker_count(spec="process:2") == 2
+        assert parse_executor_spec("serial") == ("serial", 1)
+        assert parse_executor_spec("process") == ("process", 4)
+        # spec-inline beats the kind default
+        assert parse_executor_spec("process:2") == ("process", 2)
         # explicit beats everything
-        assert resolve_worker_count(workers=8, spec="process:2") == 8
+        assert set_backend("process:2", workers=8).workers == 8
 
     def test_bad_worker_counts_rejected(self):
-        os.environ[ENV_WORKERS] = "nope"
         with pytest.raises(ConfigError):
-            resolve_worker_count(spec="process")
-        with pytest.raises(ConfigError):
-            resolve_worker_count(workers=0)
+            set_backend("serial", workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +133,10 @@ def _double(payload):
     return payload * 2
 
 
+def _worker_verify_cache(_payload):
+    return crypto.verify_cache_enabled()
+
+
 class TestBackends:
     def test_serial_map_order(self):
         backend = SerialBackend(workers=1)
@@ -159,16 +160,27 @@ class TestBackends:
         finally:
             backend.shutdown()
 
-    def test_current_backend_follows_env(self):
-        assert current_backend().kind == "serial"
+    def test_current_backend_resolves_env_once(self):
         os.environ[ENV_VAR] = "process:2"
         backend = current_backend()
         assert backend.kind == "process"
         assert backend.workers == 2
-        # Same spec -> same cached instance; changed spec -> rebuilt.
-        assert current_backend() is backend
+        # Resolved once: a later change of the variable is not seen
+        # until the backend is reset.
         os.environ[ENV_VAR] = "serial"
+        assert current_backend() is backend
+        reset_backend()
         assert current_backend().kind == "serial"
+
+    def test_pool_workers_run_without_verify_memo(self):
+        # crypto.clear_caches() never reaches a worker, so a worker memo
+        # could answer what the parent was told to forget: the workers
+        # leave memoization to the parent.
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            assert backend.map(_worker_verify_cache, [0, 1]) == [False, False]
+        finally:
+            backend.shutdown()
 
     def test_set_backend_pins_over_env(self):
         os.environ[ENV_VAR] = "process:2"

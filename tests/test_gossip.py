@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaincode.contracts import PrivateAssetContract
+from repro.common.env import RunConfig
 from repro.common.errors import GossipError
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
@@ -13,7 +14,7 @@ from repro.network.network import FabricNetwork
 
 
 def _network(required_peer_count=0, max_peer_count=3, member_orgs=("Org1MSP", "Org2MSP"),
-             org_count=3, disseminate=True, btl=0, collections=("PDC1",), **net_kwargs):
+             org_count=3, disseminate=True, btl=0, collections=("PDC1",), **switches):
     orgs = [Organization(f"Org{i}MSP") for i in range(1, org_count + 1)]
     channel = ChannelConfig(channel_id="gossipchannel", organizations=orgs)
     members = ", ".join(f"'{o}.member'" for o in member_orgs)
@@ -32,7 +33,7 @@ def _network(required_peer_count=0, max_peer_count=3, member_orgs=("Org1MSP", "O
         ],
     )
     net = FabricNetwork(channel=channel, disseminate_on_endorsement=disseminate,
-                        **net_kwargs)
+                        run=RunConfig.from_env(**switches))
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("pdccc", PrivateAssetContract())
@@ -318,7 +319,7 @@ class TestRotation:
 
 
 class TestBatchedDissemination:
-    """The REPRO_GOSSIP_BATCH fast path: one payload per target."""
+    """The ``gossip_batch`` fast path: one payload per target."""
 
     def _two_collection_network(self, **kwargs):
         _reset_counters()

@@ -1,4 +1,4 @@
-"""Tests for conflict-aware ordering (``REPRO_REORDER``).
+"""Tests for conflict-aware ordering (the ``reorder`` run switch).
 
 The reorder pipeline lives *inside* the ordering service: each cut batch
 is reordered along its conflict graph and transactions whose reads are
@@ -17,19 +17,19 @@ import random
 import pytest
 
 from repro.chaincode.contracts import AssetContract
+from repro.common.env import RunConfig
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.orderer.block_cutter import BlockCutter
-from repro.orderer.reorder import resolve_reorder
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.config import SimulationConfig
 from repro.simulation.harness import (
     execute,
     generate,
-    run_parallel_equivalence,
+    run_differential,
 )
 from repro.workload import RetryPolicy, submit_with_retry_async
 
@@ -45,7 +45,9 @@ def _asset_network(batch_size: int = 1) -> FabricNetwork:
         endorsement_policy="OR('Org1MSP.member', 'Org2MSP.member', "
                            "'Org3MSP.member')",
     )
-    net = FabricNetwork(channel=channel, batch_size=batch_size, reorder=True)
+    net = FabricNetwork(
+        channel=channel, batch_size=batch_size, run=RunConfig.from_env(reorder=True)
+    )
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("assetcc", AssetContract())
@@ -69,7 +71,7 @@ def _tx_occurrences(net: FabricNetwork, tx_id: str) -> int:
 class TestResolveReorder:
     def test_default_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_REORDER", raising=False)
-        assert resolve_reorder() is False
+        assert RunConfig.from_env().reorder is False
 
     @pytest.mark.parametrize("raw,expected", [
         ("", False), ("0", False), ("false", False), ("no", False),
@@ -77,13 +79,13 @@ class TestResolveReorder:
     ])
     def test_env_parsing(self, monkeypatch, raw, expected):
         monkeypatch.setenv("REPRO_REORDER", raw)
-        assert resolve_reorder() is expected
+        assert RunConfig.from_env().reorder is expected
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_REORDER", "1")
-        assert resolve_reorder(False) is False
+        assert RunConfig.from_env(reorder=False).reorder is False
         monkeypatch.setenv("REPRO_REORDER", "0")
-        assert resolve_reorder(True) is True
+        assert RunConfig.from_env(reorder=True).reorder is True
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +294,10 @@ class TestPipelineProperties:
 # Whole-simulation properties
 # ---------------------------------------------------------------------------
 
+#: A tpcc seed whose single hot district makes reordering early-abort.
+HOT_SEED = 1
+
+
 class TestSimulationProperties:
     @pytest.mark.parametrize("seed", [1, 3])
     def test_tpcc_sweep_green_with_reorder(self, seed):
@@ -319,12 +325,27 @@ class TestSimulationProperties:
 
     @pytest.mark.parametrize("seed", [2, 4])
     def test_serial_process_equivalence_with_reorder(self, seed):
-        report = run_parallel_equivalence(
-            seed, 30, workers=2, workload="tpcc", reorder=True
+        config = dataclasses.replace(
+            SimulationConfig.generate_tpcc(seed, 30), reorder=True, executor="serial"
         )
+        report = run_differential(config, {"executor": "process:2"})
         assert report.ok, [str(v) for v in report.violations[:5]]
         assert report.reference.stats["reorder"] is True
         assert (
             report.reference.stats["early_aborts"]
-            == report.parallel.stats["early_aborts"]
+            == report.candidate.stats["early_aborts"]
         )
+
+    def test_differential_reports_reorder_changing_history(self):
+        # Reordering changes the committed history by design (early
+        # aborts, permuted blocks), so a differential run against the
+        # arrival-order reference must report it — the runner's teeth.
+        config = dataclasses.replace(
+            SimulationConfig.generate_tpcc(HOT_SEED, 40),
+            warehouses=1, districts_per_warehouse=1, reorder=False,
+        )
+        report = run_differential(config, {"reorder": True})
+        assert report.reference.ok and report.candidate.ok
+        assert report.candidate.stats["early_aborts"] > 0
+        assert report.violations
+        assert not report.ok

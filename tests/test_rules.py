@@ -30,6 +30,7 @@ from repro.chaincode.rwset import (
     NamespaceRWSet,
     TxReadWriteSet,
 )
+from repro.common.env import RunConfig
 from repro.common.errors import EndorsementError
 from repro.core.defense.features import FrameworkFeatures
 from repro.identity.ca import reset_ca_instance_counter
@@ -237,7 +238,10 @@ def _agreement_network(features: FrameworkFeatures) -> FabricNetwork:
             required_peer_count=0, endorsement_policy=KEY_POLICY,
         )],
     )
-    net = FabricNetwork(channel=channel, features=features, batch_size=50, reorder=False)
+    net = FabricNetwork(
+        channel=channel, features=features, batch_size=50,
+        run=RunConfig.from_env(reorder=False),
+    )
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("assetcc", AssetContract())

@@ -8,6 +8,8 @@ and gossip-vs-delivery races under fault injection.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.chaincode.contracts import AssetContract, PrivateAssetContract
@@ -653,6 +655,9 @@ class TestMempoolBound:
         from repro.common.errors import MempoolFullError
 
         net, runtime = self._bounded_network(limit=1, timeout=500.0)
+        # The plan path itself is under test: pin it on even under a run
+        # that exports REPRO_ENDORSE_PLAN=0.
+        net.run = dataclasses.replace(net.run, endorse_plan=True)
         client = net.client("Org1MSP")
         pendings = [
             client.submit_async("assetcc", "create_asset", [f"p{i}", "1"],
@@ -667,17 +672,8 @@ class TestMempoolBound:
         assert outcomes == ["MempoolFullError", "MempoolFullError", "ok"]
         assert runtime.mempool_rejections == 2
 
-    def test_env_resolution(self, monkeypatch):
-        from repro.runtime import resolve_mempool_limit
-
-        assert resolve_mempool_limit() is None
-        assert resolve_mempool_limit(7) == 7
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "3")
-        assert resolve_mempool_limit() == 3
-        assert resolve_mempool_limit(9) == 9  # explicit beats env
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "0")
-        with pytest.raises(ConfigError):
-            resolve_mempool_limit()
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "lots")
-        with pytest.raises(ConfigError):
-            resolve_mempool_limit()
+    def test_limit_must_be_positive(self):
+        _, runtime = self._bounded_network(limit=7)
+        assert runtime.mempool_limit == 7
+        with pytest.raises(ConfigError, match="mempool limit must be >= 1"):
+            self._bounded_network(limit=0)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.env import RunConfig
 from repro.simulation import (
     SimulationConfig,
     Violation,
+    compare_reports,
     generate_fault_schedule,
+    run_differential,
     run_seed,
 )
 from repro.simulation.harness import build_network, execute, generate
@@ -155,29 +160,24 @@ class TestSeedReplay:
 
 
 # ---------------------------------------------------------------------------
-# the parallel-equivalence invariant
+# differential runs: one triple, two run configs
 # ---------------------------------------------------------------------------
 class TestParallelEquivalence:
     def test_process_run_byte_identical_to_serial(self):
-        from repro.simulation import run_parallel_equivalence
-
-        report = run_parallel_equivalence(7, 30, workers=2)
+        config = replace(SimulationConfig.generate(7, 30), executor="serial")
+        report = run_differential(config, {"executor": "process:2"})
         assert report.ok, "\n".join(
             str(v) for v in report.violations
-            + report.reference.violations + report.parallel.violations
+            + report.reference.violations + report.candidate.violations
         )
         assert report.reference.config.executor == "serial"
-        assert report.parallel.config.executor == "process:2"
+        assert report.candidate.config.executor == "process:2"
         assert (
             report.reference.stats["state_digest"]
-            == report.parallel.stats["state_digest"]
+            == report.candidate.stats["state_digest"]
         )
 
     def test_compare_reports_flags_divergence(self):
-        from dataclasses import replace
-
-        from repro.simulation import compare_reports
-
         first = run_seed(9, 25)
         second = run_seed(9, 25)
         assert compare_reports(first, second) == []
@@ -187,19 +187,79 @@ class TestParallelEquivalence:
         second.outcomes[0] = replace(second.outcomes[0], status="tampered")
         violations = compare_reports(first, second)
         assert len(violations) == 3
-        assert all(v.invariant == "parallel-equivalence" for v in violations)
+        assert all(v.invariant == "differential" for v in violations)
 
     def test_executor_recorded_in_stats_and_wire(self):
         # generate() records the environment's executor kind (serial unless
         # REPRO_EXECUTOR pins the suite onto another backend).
-        from repro.runtime.executor import resolve_executor_kind
-
-        expected = resolve_executor_kind()
+        expected = RunConfig.from_env().executor
         report = run_seed(2, 15)
         assert report.stats["executor"] == report.config.executor == expected
         wire = report.config.to_wire()
         assert wire["executor"] == expected
         assert SimulationConfig.from_wire(wire).executor == expected
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("workload", ["mixed", "tpcc"])
+    def test_storage_engine_never_changes_behaviour(self, workload):
+        config = replace(
+            SimulationConfig.generate_workload(workload, 2, 60), state_backend="memory"
+        )
+        report = run_differential(config, {"state_backend": "wal"})
+        assert report.ok, [str(v) for v in report.violations[:5]]
+        assert report.candidate.stats["state_backend"] == "wal"
+
+    def test_gossip_legs_get_the_carve_outs(self):
+        config = replace(
+            SimulationConfig.generate(3, 40),
+            gossip_batch=False, anti_entropy_every=4.0, jitter=0.7,
+        )
+        report = run_differential(config, {"gossip_batch": True})
+        assert report.ok, [str(v) for v in report.violations[:5]]
+        assert report.config.jitter == 0.0
+        assert report.candidate.config.jitter == 0.0
+        assert not [a for a in report.fault_actions
+                    if a.kind in ("topic_rate", "drop_rate", "jitter")]
+        assert report.candidate.stats["gossip_payloads"] > 0
+
+    def test_diff_legs_see_every_flag(self, monkeypatch, tmp_path):
+        from repro.simulation import harness
+        from repro.tools.simulate import main
+
+        seen = []
+        real_execute = harness.execute
+
+        def spy(config, ops, faults, weaken=None):
+            seen.append((config, weaken))
+            return real_execute(config, ops, faults, weaken=weaken)
+
+        monkeypatch.setattr(harness, "execute", spy)
+        main([
+            "--seeds", "1", "--ops", "12", "--backend", "wal",
+            "--executor", "serial", "--snapshot-every", "3", "--prune",
+            "--reorder", "--anti-entropy-every", "4",
+            "--weaken", "skip-endorsement-policy",
+            "--diff", "gossip_batch=1", "--trace-dir", str(tmp_path),
+        ])
+        assert len(seen) == 2
+        for config, weaken in seen:
+            assert (
+                config.state_backend, config.executor, config.snapshot_every,
+                config.prune, config.reorder, config.anti_entropy_every,
+            ) == ("wal", "serial", 3, True, True, 4.0)
+            assert weaken == "skip-endorsement-policy"
+        assert seen[0][0].gossip_batch is RunConfig.from_env().gossip_batch
+        assert seen[1][0].gossip_batch is True
+
+    def test_diff_rejects_unrecorded_switches(self, capsys):
+        from repro.tools.simulate import main
+
+        with pytest.raises(SystemExit):
+            main(["--diff", "shared_vscc=0"])
+        with pytest.raises(SystemExit):
+            main(["--diff", "snapshot_every=often"])
+        assert "is not an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

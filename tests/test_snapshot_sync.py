@@ -20,14 +20,13 @@ from repro.common.errors import (
     PrunedBacklogError,
     SnapshotError,
 )
+from repro.common.env import RunConfig
 from repro.common.hashing import hash_value
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.ledger.snapshot import (
     RETAIN_SNAPSHOTS,
     bootstrap_from_package,
-    resolve_prune,
-    resolve_snapshot_every,
     verify_package,
 )
 from repro.network.channel import ChannelConfig
@@ -67,9 +66,8 @@ def _network(
     )
     net = FabricNetwork(
         channel=channel,
-        snapshot_every=snapshot_every,
-        prune=prune,
         batch_size=batch_size,
+        run=RunConfig.from_env(snapshot_every=snapshot_every, prune=prune),
     )
     for org in orgs:
         net.add_peer(org.msp_id)
@@ -115,27 +113,30 @@ class TestEnvResolution:
     def test_explicit_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "7")
         monkeypatch.setenv("REPRO_PRUNE", "1")
-        assert resolve_snapshot_every(3) == 3
-        assert resolve_prune(False) is False
+        run = RunConfig.from_env(snapshot_every=3, prune=False)
+        assert run.snapshot_every == 3
+        assert run.prune is False
 
     def test_env_var_wins_over_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "12")
         monkeypatch.setenv("REPRO_PRUNE", "yes")
-        assert resolve_snapshot_every() == 12
-        assert resolve_prune() is True
+        run = RunConfig.from_env()
+        assert run.snapshot_every == 12
+        assert run.prune is True
 
     def test_defaults_keep_the_feature_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_SNAPSHOT_EVERY", raising=False)
         monkeypatch.delenv("REPRO_PRUNE", raising=False)
-        assert resolve_snapshot_every() == 0
-        assert resolve_prune() is False
+        run = RunConfig.from_env()
+        assert run.snapshot_every == 0
+        assert run.prune is False
 
     def test_bad_values_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "often")
         with pytest.raises(ConfigError):
-            resolve_snapshot_every()
+            RunConfig.from_env()
         with pytest.raises(ConfigError):
-            resolve_snapshot_every(-1)
+            RunConfig(snapshot_every=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,8 @@ class TestBlockchainPruning:
         channel = ChannelConfig(channel_id="snapchan", organizations=[org])
         channel.deploy_chaincode("assetcc", endorsement_policy="OR('Org1MSP.member')")
         net = FabricNetwork(
-            channel=channel, state_backend="wal", state_dir=str(tmp_path)
+            channel=channel, state_dir=str(tmp_path),
+            run=RunConfig.from_env(state_backend="wal"),
         )
         net.add_peer("Org1MSP")
         net.install_chaincode("assetcc", AssetContract())
@@ -261,7 +263,8 @@ class TestBlockchainPruning:
         channel = ChannelConfig(channel_id="snapchan", organizations=[org])
         channel.deploy_chaincode("assetcc", endorsement_policy="OR('Org1MSP.member')")
         net = FabricNetwork(
-            channel=channel, state_backend="wal", state_dir=str(tmp_path)
+            channel=channel, state_dir=str(tmp_path),
+            run=RunConfig.from_env(state_backend="wal"),
         )
         net.add_peer("Org1MSP")
         net.install_chaincode("assetcc", AssetContract())

@@ -17,6 +17,8 @@ import pytest
 
 from repro.chaincode.contracts import AssetContract
 from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
+from repro.common.env import RunConfig
+from repro.common.errors import ConfigError
 from repro.common.hashing import hash_key, hash_value
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
@@ -35,7 +37,6 @@ from repro.storage import (
     WalBackend,
     WriteBatch,
     open_backend,
-    resolve_backend_kind,
 )
 from repro.storage.codec import (
     BYTES_MAP_MAGIC,
@@ -117,13 +118,15 @@ class TestBackends:
 
     def test_resolve_backend_kind(self, monkeypatch):
         monkeypatch.delenv("REPRO_STATE_BACKEND", raising=False)
-        assert resolve_backend_kind() == "memory"
-        assert resolve_backend_kind("wal") == "wal"
+        assert RunConfig.from_env().state_backend == "memory"
+        assert RunConfig.from_env(state_backend="wal").state_backend == "wal"
         monkeypatch.setenv("REPRO_STATE_BACKEND", "wal")
-        assert resolve_backend_kind() == "wal"
+        assert RunConfig.from_env().state_backend == "wal"
         monkeypatch.setenv("REPRO_STATE_BACKEND", "bogus")
+        with pytest.raises(ConfigError):
+            RunConfig.from_env()
         with pytest.raises(StorageError):
-            resolve_backend_kind()
+            open_backend("bogus")
 
     def test_open_backend_with_directory(self, tmp_path):
         backend = open_backend("wal", directory=tmp_path, name="peer0")
@@ -715,8 +718,8 @@ def _runtime_network(state_backend: str, tmp_path, batch_size: int = 1):
     net = FabricNetwork(
         channel=channel,
         batch_size=batch_size,
-        state_backend=state_backend,
         state_dir=str(tmp_path) if state_backend == "wal" else None,
+        run=RunConfig.from_env(state_backend=state_backend),
     )
     for org in orgs:
         net.add_peer(org.msp_id)

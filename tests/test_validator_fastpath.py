@@ -5,8 +5,8 @@ Covers the three layers of the fast path at the validator level:
 * serialized-bytes memoization on frozen protocol objects;
 * the batched signature pre-pass (equivalence with the unbatched path,
   including blocks hiding a forged endorsement);
-* the shared VSCC memo (2nd..Nth peer reuses flags; ``REPRO_SHARED_VSCC=0``
-  disables it; the simulation invariant checker confirms the memo never
+* the shared VSCC memo (2nd..Nth peer reuses flags; the ``shared_vscc``
+  run switch, ``REPRO_SHARED_VSCC=0``, disables it; the simulation invariant checker confirms the memo never
   changes a validation flag).
 """
 
@@ -16,10 +16,10 @@ import pytest
 
 from repro.chaincode.contracts import PrivateAssetContract
 from repro.common import crypto
+from repro.common.env import RunConfig
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
 from repro.network.presets import three_org_network
-from repro.peer.validator import batch_verify_enabled, shared_vscc_enabled
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.harness import run_seed
@@ -65,14 +65,18 @@ class TestEnvToggles:
     def test_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARED_VSCC", raising=False)
         monkeypatch.delenv("REPRO_BATCH_VERIFY", raising=False)
-        assert shared_vscc_enabled()
-        assert batch_verify_enabled()
+        run = RunConfig.from_env()
+        assert run.shared_vscc
+        assert run.batch_verify
 
     def test_escape_hatches(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
         monkeypatch.setenv("REPRO_BATCH_VERIFY", "0")
-        assert not shared_vscc_enabled()
-        assert not batch_verify_enabled()
+        run = RunConfig.from_env()
+        assert not run.shared_vscc
+        assert not run.batch_verify
+        validator = _network().peer_of(1)._validator
+        assert not validator._use_shared_memo and not validator._use_batch
 
 
 class TestSharedVsccMemo:
